@@ -279,8 +279,13 @@ def parse_matrix(text: str) -> BitMatrix | PrimeFieldMatrix:
         raise MatrixParseError(1, 1, "dimensions must be integers")
     if n_rows < 1 or n_cols < 1:
         raise MatrixParseError(1, 1, "dimensions must be >= 1")
-    if head[0] == "gfp" and not is_prime(p):
-        raise MatrixParseError(1, len(head[0]) + 2, f"modulus {p} is not prime")
+    if head[0] == "gfp":
+        try:
+            prime = is_prime(p)
+        except ValueError as e:
+            raise MatrixParseError(1, len(head[0]) + 2, str(e))
+        if not prime:
+            raise MatrixParseError(1, len(head[0]) + 2, f"modulus {p} is not prime")
     if len(lines) - 1 != n_cols:
         raise MatrixParseError(len(lines), 1,
                                f"expected {n_cols} column lines, found {len(lines) - 1}")

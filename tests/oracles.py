@@ -14,6 +14,11 @@ from fractions import Fraction
 import numpy as np
 
 
+def is_prime_trial_division(n: int) -> bool:
+    """Primality by trial division up to sqrt(n)."""
+    return n >= 2 and all(n % d for d in range(2, math.isqrt(n) + 1))
+
+
 def rank_mod2_dense(dense: np.ndarray) -> int:
     """Textbook row-echelon rank of a dense 0/1 matrix, arithmetic mod 2."""
     a = (np.asarray(dense, dtype=np.int64) % 2).copy()
@@ -39,8 +44,13 @@ def rank_mod2_dense(dense: np.ndarray) -> int:
 
 
 def rank_modp_dense(dense: np.ndarray, p: int) -> int:
-    """Row-echelon rank of a dense matrix with entries reduced mod p."""
-    a = (np.asarray(dense, dtype=np.int64) % p).copy()
+    """Row-echelon rank of a dense matrix with entries reduced mod p.
+
+    Arithmetic is on Python ints (object arrays), so no product can
+    overflow, whatever the size of p.
+    """
+    a = np.array([[x % p for x in row] for row in np.asarray(dense).tolist()],
+                 dtype=object).reshape(np.shape(dense))
     m, n = a.shape
     r = 0
     for c in range(n):
@@ -53,7 +63,7 @@ def rank_modp_dense(dense: np.ndarray, p: int) -> int:
             continue
         if pivot != r:
             a[[r, pivot]] = a[[pivot, r]]
-        inv = pow(int(a[r, c]), -1, p)
+        inv = pow(a[r, c], -1, p)
         a[r, :] = (a[r, :] * inv) % p
         for i in range(m):
             if i != r and a[i, c] % p != 0:

@@ -255,3 +255,9 @@ class TestSerialization:
             parse_matrix("gfp 6 2 2\n0:1\n\n")  # composite modulus
         with pytest.raises(MatrixParseError):
             parse_matrix("gf2 0 2\n\n\n")  # degenerate dimensions
+
+    def test_modulus_beyond_exact_primality_is_a_parse_error(self):
+        huge = 399165290221 * 798330580441  # passes Miller-Rabin on bases 2..37
+        with pytest.raises(MatrixParseError) as e:
+            parse_matrix(f"gfp {huge} 1 1\n0:1\n")
+        assert e.value.line == 1 and e.value.column == 5

@@ -14,6 +14,7 @@ import time
 
 from fflab import theory
 from fflab.harness import (
+    AUDIT_FAMILIES,
     compare_to_theory,
     headline_checks,
     run_campaign,
@@ -60,9 +61,8 @@ def main() -> int:
     for name, passed in checks.items():
         print(f"  {name}: {'PASS' if passed else 'FAIL'}")
 
-    audits = special_case_audits(["r1s2", "r2s2", "r2s3", "gf3model1"],
-                                 n=args.n, trials=1000, master_seed=args.seed,
-                                 workers=args.workers)
+    audits = special_case_audits(AUDIT_FAMILIES, n=args.n, trials=1000,
+                                 master_seed=args.seed, workers=args.workers)
     for res in audits:
         print("  audit " + res.describe())
 

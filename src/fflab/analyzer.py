@@ -24,7 +24,7 @@ from dataclasses import dataclass, field as dc_field
 import numpy as np
 
 from .gf2 import BitMatrix, NullSpaceBasis, bit_indices, gf2_rank_nullspace, gf2_vecmat
-from .unionfind import UnionFind
+from .unionfind import pair_components
 
 
 class GuardExceeded(RuntimeError):
@@ -91,31 +91,12 @@ def connected_functional_digraph(m: BitMatrix, support: int) -> bool:
     Every column with exactly two unit entries inside the support
     contributes an edge; zero-hit columns contribute nothing.  Agrees
     with the minimality test on every instance (see module docstring).
-    Raises if the support is not a dependency of m.
+    Raises ValueError if the support is not a dependency of m or a column
+    hits it more than twice (the 2-random-unit models never do).
     """
     if gf2_vecmat(support, m) != 0:
         raise ValueError("support is not a dependency")
-    rows = bit_indices(support)
-    if len(rows) == 1:
-        return True
-    index = {r: i for i, r in enumerate(rows)}
-    hits: dict[int, list[int]] = {}
-    for r in rows:
-        v = m.row_int(r)
-        while v:
-            low = v & -v
-            hits.setdefault(low.bit_length() - 1, []).append(r)
-            v ^= low
-    uf = UnionFind(len(rows))
-    for col, hit_rows in hits.items():
-        if len(hit_rows) == 2:
-            uf.union(index[hit_rows[0]], index[hit_rows[1]])
-        elif len(hit_rows) % 2:
-            raise AssertionError("odd column hit count on a verified dependency")
-        elif len(hit_rows) > 2:
-            raise ValueError(f"column {col} hits the support {len(hit_rows)} times; "
-                             "connectivity is defined for the 2-random-unit models")
-    return uf.n_sets == 1
+    return pair_components([m.row_int(r) for r in bit_indices(support)]) == 1
 
 
 class _Span:

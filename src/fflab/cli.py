@@ -1,7 +1,8 @@
 """Operator surface: theory tables, campaigns, matrix analysis, audits.
 
 Exit codes: 0 success, 1 a configured acceptance threshold failed,
-2 usage or parse error.  Master seeds are echoed into every output so
+2 usage or parse error (including a size, count or tolerance out of
+range).  Master seeds are echoed into every output so
 any run can be reproduced exactly.
 """
 from __future__ import annotations
@@ -27,8 +28,25 @@ from .harness import (
 from .models import MatrixParseError, ModelConfig, parse_matrix, sample
 
 
+def _int_at_least(minimum: int):
+    """argparse type for an int >= minimum; anything else is a usage error."""
+    def integer(text: str) -> int:
+        value = int(text)
+        if value < minimum:
+            raise argparse.ArgumentTypeError(f"must be >= {minimum}, got {value}")
+        return value
+    return integer
+
+
+_positive_int, _nonnegative_int = _int_at_least(1), _int_at_least(0)
+
+
+def _positive_int_list(text: str) -> list[int]:
+    return [_positive_int(x) for x in text.split(",")]
+
+
 def _add_model_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--n", type=int, default=500, help="row count (default 500)")
+    p.add_argument("--n", type=_positive_int, default=500, help="row count (default 500)")
     p.add_argument("--r", type=int, default=1, help="column blocks per row (default 1)")
     p.add_argument("--s", type=int, default=3, help="column weight parameter (default 3)")
     p.add_argument("--replacement", choices=["with", "without"], default="without")
@@ -107,7 +125,11 @@ def cmd_theory(args) -> int:
                 json.dump({"gamma": args.gamma, "phi_t": value, "tol": args.tol}, f)
             print(f"wrote {args.out}")
         return 0
-    table = theory.build_table(model=args.replacement, d_max=args.dmax, tol=args.tol)
+    try:
+        table = theory.build_table(model=args.replacement, d_max=args.dmax, tol=args.tol)
+    except ValueError as e:
+        print(f"error: {e}", file=sys.stderr)
+        return 2
     print(f"model: {table.model} replacement")
     print(f"phi = {table.phi:.4f}")
     print(f"pi(0) = {table.pi[0]:.4f}")
@@ -235,13 +257,12 @@ def cmd_audit(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    ns = [int(x) for x in args.n_list.split(",")]
     table = theory.build_table(model=args.replacement, d_max=args.dmax)
     rows = []
     print(f"seed={args.seed} trials={args.trials} model={args.replacement}")
     print(f"{'n':>6} {'p0_emp':>8} {'p0_thy':>8} {'tv':>7} {'sig_mean':>9} "
           f"{'phi':>7} {'anom':>5}")
-    for n in ns:
+    for n in args.n_list:
         cfg = ModelConfig(n=n, replacement=args.replacement, master_seed=args.seed)
         _, summary = run_campaign(cfg, trials=args.trials, workers=args.workers)
         fit = compare_to_theory(summary, table)
@@ -272,7 +293,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--replacement", choices=["with", "without"], default="without")
     p.add_argument("--gft", action="store_true", help="evaluate phi_t instead")
     p.add_argument("--gamma", type=float, default=None)
-    p.add_argument("--dmax", type=int, default=12)
+    p.add_argument("--dmax", type=_nonnegative_int, default=12)
     p.add_argument("--tol", type=float, default=1e-9)
     p.add_argument("--out", type=str, default=None)
     p.add_argument("--format", choices=["json", "csv"], default="json")
@@ -281,9 +302,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("simulate", help="run a seeded campaign")
     _add_model_flags(p)
     _add_analysis_flags(p)
-    p.add_argument("--trials", type=int, default=1000)
+    p.add_argument("--trials", type=_positive_int, default=1000)
     p.add_argument("--workers", type=int, default=1)
-    p.add_argument("--dmax", type=int, default=12)
+    p.add_argument("--dmax", type=_nonnegative_int, default=12)
     p.add_argument("--records", type=str, default=None, help="JSONL record path")
     p.add_argument("--out", type=str, default=None, help="summary output path")
     p.add_argument("--format", choices=["json", "csv"], default="json",
@@ -302,19 +323,19 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("audit", help="special-case audits")
     p.add_argument("--family", choices=list(AUDIT_FAMILIES) + ["all"], default="all")
-    p.add_argument("--n", type=int, default=500)
-    p.add_argument("--trials", type=int, default=1000)
+    p.add_argument("--n", type=_positive_int, default=500)
+    p.add_argument("--trials", type=_positive_int, default=1000)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--workers", type=int, default=1)
     p.set_defaults(fn=cmd_audit)
 
     p = sub.add_parser("sweep", help="convergence sweep over n")
-    p.add_argument("--n-list", type=str, default="250,500,1000,2000")
+    p.add_argument("--n-list", type=_positive_int_list, default="250,500,1000,2000")
     p.add_argument("--replacement", choices=["with", "without"], default="without")
-    p.add_argument("--trials", type=int, default=2000)
+    p.add_argument("--trials", type=_positive_int, default=2000)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--workers", type=int, default=1)
-    p.add_argument("--dmax", type=int, default=12)
+    p.add_argument("--dmax", type=_nonnegative_int, default=12)
     p.add_argument("--out", type=str, default=None)
     p.set_defaults(fn=cmd_sweep)
     return ap

@@ -18,14 +18,14 @@ import multiprocessing
 import time
 from dataclasses import dataclass, field
 from functools import partial
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 from scipy.stats import chi2 as _chi2
 
 from .analyzer import GuardExceeded, analyze_matrix, default_omega
-from .gf2 import BitMatrix, gf2_rank_nullspace
+from .gf2 import gf2_rank_nullspace
 from .gfp import PrimeFieldMatrix, gfp_rank
-from .models import ModelConfig, functional_graph_components, sample
+from .models import ModelConfig, SampledMatrix, functional_graph_components, sample
 from .theory import TheoryTable
 
 # Headline statistical thresholds (binomial sampling error at the stated
@@ -44,17 +44,17 @@ class TrialRecord:
     model: str
     rank: int
     corank: int
-    sigma: int | None
-    lam: int | None
-    weights: list[int] | None
-    anomaly_count: int | None
-    disjoint_violations: int
-    equiv_violations: int
-    guard_exceeded: bool
-    simple_a1: bool | None
-    simple_a4: bool | None
-    intersection_flags: int | None
-    large_basis_deficit: int
+    sigma: int | None = None
+    lam: int | None = None
+    weights: list[int] | None = None
+    anomaly_count: int | None = None
+    disjoint_violations: int = 0
+    equiv_violations: int = 0
+    guard_exceeded: bool = False
+    simple_a1: bool | None = None
+    simple_a4: bool | None = None
+    intersection_flags: int | None = None
+    large_basis_deficit: int = 0
     wall_ms: float = field(default=0.0, compare=False)
 
     def to_json_line(self) -> str:
@@ -70,39 +70,27 @@ def run_trial(cfg: ModelConfig, trial: int, omega: int | None = None,
               window_a: float = 4.0, guard: int = 20) -> TrialRecord:
     """Sample one matrix, eliminate, analyse; never raises on guard hits."""
     t0 = time.perf_counter()
-    sm = sample(cfg, trial)
-    m = sm.matrix
+    m = sample(cfg, trial).matrix
     if isinstance(m, PrimeFieldMatrix):
-        corank = m.n_rows - gfp_rank(m)
-        return TrialRecord(
-            trial=trial, n=cfg.n, model=cfg.tag(), rank=m.n_rows - corank,
-            corank=corank, sigma=None, lam=None, weights=None,
-            anomaly_count=None, disjoint_violations=0, equiv_violations=0,
-            guard_exceeded=False, simple_a1=None, simple_a4=None,
-            intersection_flags=None, large_basis_deficit=0,
-            wall_ms=1e3 * (time.perf_counter() - t0))
-    assert isinstance(m, BitMatrix)
-    try:
-        rep = analyze_matrix(m, omega=omega, window_a=window_a, guard=guard)
-    except GuardExceeded:
-        rank, basis = gf2_rank_nullspace(m)
-        return TrialRecord(
-            trial=trial, n=cfg.n, model=cfg.tag(), rank=rank,
-            corank=basis.dimension, sigma=None, lam=None, weights=None,
-            anomaly_count=None, disjoint_violations=0, equiv_violations=0,
-            guard_exceeded=True, simple_a1=None, simple_a4=None,
-            intersection_flags=None, large_basis_deficit=0,
-            wall_ms=1e3 * (time.perf_counter() - t0))
-    return TrialRecord(
-        trial=trial, n=cfg.n, model=cfg.tag(), rank=rep.rank, corank=rep.d,
-        sigma=rep.sigma, lam=rep.lam, weights=rep.weights,
-        anomaly_count=len(rep.anomalies),
-        disjoint_violations=rep.disjoint_violations,
-        equiv_violations=rep.equiv_violations, guard_exceeded=False,
-        simple_a1=rep.simple_a1, simple_a4=rep.simple_a4,
-        intersection_flags=rep.intersection_flags,
-        large_basis_deficit=rep.large_basis_deficit,
-        wall_ms=1e3 * (time.perf_counter() - t0))
+        rank = gfp_rank(m)
+        found = {"rank": rank, "corank": m.n_rows - rank}
+    else:
+        try:
+            rep = analyze_matrix(m, omega=omega, window_a=window_a, guard=guard)
+        except GuardExceeded:
+            rank, basis = gf2_rank_nullspace(m)
+            found = {"rank": rank, "corank": basis.dimension, "guard_exceeded": True}
+        else:
+            found = {"rank": rep.rank, "corank": rep.d, "sigma": rep.sigma,
+                     "lam": rep.lam, "weights": rep.weights,
+                     "anomaly_count": len(rep.anomalies),
+                     "disjoint_violations": rep.disjoint_violations,
+                     "equiv_violations": rep.equiv_violations,
+                     "simple_a1": rep.simple_a1, "simple_a4": rep.simple_a4,
+                     "intersection_flags": rep.intersection_flags,
+                     "large_basis_deficit": rep.large_basis_deficit}
+    return TrialRecord(trial=trial, n=cfg.n, model=cfg.tag(),
+                       wall_ms=1e3 * (time.perf_counter() - t0), **found)
 
 
 @dataclass
@@ -134,6 +122,13 @@ class CampaignSummary:
         return d
 
 
+def _moments(xs: Sequence[int]) -> tuple[float, float, float]:
+    """Sample mean, unbiased variance and dispersion (variance / mean)."""
+    mean = sum(xs) / len(xs) if xs else 0.0
+    var = sum((x - mean) ** 2 for x in xs) / (len(xs) - 1) if len(xs) > 1 else 0.0
+    return mean, var, var / mean if mean > 0 else float("nan")
+
+
 def summarize(records: Sequence[TrialRecord], master_seed: int) -> CampaignSummary:
     corank_hist: dict[int, int] = {}
     joint_hist: dict[tuple[int, int], int] = {}
@@ -159,10 +154,7 @@ def summarize(records: Sequence[TrialRecord], master_seed: int) -> CampaignSumma
                 a1 += bool(r.simple_a1)
                 a4 += bool(r.simple_a4)
                 iflags += r.intersection_flags or 0
-    mean = sum(sigmas) / len(sigmas) if sigmas else 0.0
-    var = (sum((s - mean) ** 2 for s in sigmas) / (len(sigmas) - 1)
-           if len(sigmas) > 1 else 0.0)
-    disp = var / mean if mean > 0 else float("nan")
+    mean, var, disp = _moments(sigmas)
     return CampaignSummary(
         model=records[0].model if records else "", n=records[0].n if records else 0,
         trials=len(records), master_seed=master_seed, corank_hist=corank_hist,
@@ -323,9 +315,7 @@ def poisson_fit(records: Sequence[TrialRecord]) -> PoissonFit:
     sigmas = [r.sigma for r in records if r.sigma is not None]
     if len(sigmas) < 1000:
         raise ValueError("poisson_fit needs at least 1000 records")
-    mean = sum(sigmas) / len(sigmas)
-    var = sum((s - mean) ** 2 for s in sigmas) / (len(sigmas) - 1)
-    disp = var / mean if mean > 0 else float("nan")
+    mean, var, disp = _moments(sigmas)
     return PoissonFit(count=len(sigmas), mean=mean, variance=var, dispersion=disp)
 
 
@@ -347,7 +337,23 @@ def headline_checks(summary: CampaignSummary, fit: FitReport,
     }
 
 
-AUDIT_FAMILIES = ("r1s2", "r2s2", "r2s3", "gf3model1")
+class _Audit(NamedTuple):
+    config: dict                                     # ModelConfig fields but n, seed
+    violation: Callable[[SampledMatrix, int], bool]  # (sample, corank) -> exact miss
+    hit: Callable[[int], bool] | None                # corank -> target; None: exact
+
+
+_AUDITS = {
+    # s=2: the co-rank is the component count of the functional graph
+    "r1s2": _Audit({"r": 1, "s": 2},
+                   lambda sm, d: d != functional_graph_components(sm), None),
+    # s even: the all-ones vector annihilates every column, so corank >= 1
+    "r2s2": _Audit({"r": 2, "s": 2}, lambda sm, d: d < 1, lambda d: d == 1),
+    "r2s3": _Audit({"r": 2, "s": 3}, lambda sm, d: False, lambda d: d == 0),
+    "gf3model1": _Audit({"field": "gfp", "p": 3, "gft_model": 1},
+                        lambda sm, d: d < 1, lambda d: d == 1),
+}
+AUDIT_FAMILIES = tuple(_AUDITS)
 
 
 @dataclass(frozen=True)
@@ -369,52 +375,36 @@ class AuditResult:
 
 def _audit_trial(family: str, cfg: ModelConfig, trial: int) -> tuple[int, int]:
     """Returns (violation, hit) for one trial of an audit family."""
+    audit = _AUDITS[family]
     sm = sample(cfg, trial)
     m = sm.matrix
-    if family == "r1s2":
-        rank, basis = gf2_rank_nullspace(m)
-        comps = functional_graph_components(sm)
-        return (int(basis.dimension != comps), 0)
-    if family == "r2s2":
-        rank, basis = gf2_rank_nullspace(m)
-        # s even: the all-ones vector annihilates every column, so corank >= 1
-        return (int(basis.dimension < 1), int(basis.dimension == 1))
-    if family == "r2s3":
-        rank, basis = gf2_rank_nullspace(m)
-        return (0, int(basis.dimension == 0))
-    if family == "gf3model1":
+    if isinstance(m, PrimeFieldMatrix):
         corank = m.n_rows - gfp_rank(m)
-        return (int(corank < 1), int(corank == 1))
-    raise ValueError(f"unknown audit family {family!r}")
-
-
-def _audit_config(family: str, n: int, master_seed: int) -> ModelConfig:
-    if family == "r1s2":
-        return ModelConfig(n=n, r=1, s=2, master_seed=master_seed)
-    if family == "r2s2":
-        return ModelConfig(n=n, r=2, s=2, master_seed=master_seed)
-    if family == "r2s3":
-        return ModelConfig(n=n, r=2, s=3, master_seed=master_seed)
-    if family == "gf3model1":
-        return ModelConfig(n=n, field="gfp", p=3, gft_model=1, master_seed=master_seed)
-    raise ValueError(f"unknown audit family {family!r}")
+    else:
+        corank = gf2_rank_nullspace(m)[1].dimension
+    return (int(audit.violation(sm, corank)),
+            0 if audit.hit is None else int(audit.hit(corank)))
 
 
 def special_case_audits(families: Sequence[str], n: int = 500, trials: int = 1000,
                         master_seed: int = 0, workers: int = 1) -> list[AuditResult]:
     """Exact and high-probability checks for the special-case models."""
+    if trials < 1:
+        raise ValueError("trials must be >= 1")
     out = []
     for family in families:
-        cfg = _audit_config(family, n, master_seed)
+        if family not in _AUDITS:
+            raise ValueError(f"unknown audit family {family!r}")
+        audit = _AUDITS[family]
+        cfg = ModelConfig(n=n, master_seed=master_seed, **audit.config)
         fn = partial(_audit_trial, family, cfg)
         results = _pool_map(fn, range(trials), workers)
         violations = sum(v for v, _ in results)
-        hits = sum(h for _, h in results)
-        if family == "r1s2":
+        if audit.hit is None:
             fraction, threshold = None, None
             passed = violations == 0
         else:
-            fraction, threshold = hits / trials, FRACTION_MIN
+            fraction, threshold = sum(h for _, h in results) / trials, FRACTION_MIN
             passed = violations == 0 and fraction >= FRACTION_MIN
         out.append(AuditResult(family=family, n=n, trials=trials,
                                violations=violations, fraction=fraction,

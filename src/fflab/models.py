@@ -23,7 +23,7 @@ import numpy as np
 
 from .gf2 import WORD_BITS, BitMatrix
 from .gfp import PrimeFieldMatrix, is_prime
-from .unionfind import UnionFind
+from .unionfind import pair_components
 
 WITH = "with"
 WITHOUT = "without"
@@ -93,10 +93,6 @@ class SampledMatrix:
     matrix: BitMatrix | PrimeFieldMatrix
     config: ModelConfig
     trial: int
-
-    @property
-    def derived_seed(self) -> tuple[int, int]:
-        return (self.config.master_seed, self.trial)
 
 
 def trial_generator(cfg: ModelConfig, trial: int) -> np.random.Generator:
@@ -207,21 +203,7 @@ def functional_graph_components(sm: SampledMatrix) -> int:
     cfg = sm.config
     if cfg.s != 2 or cfg.r != 1 or cfg.field != "gf2":
         raise ValueError("functional graph oracle requires s=2, r=1 over GF(2)")
-    m = sm.matrix
-    assert isinstance(m, BitMatrix)
-    uf = UnionFind(m.n_rows)
-    hits: dict[int, list[int]] = {}
-    for row, rint in enumerate(m.rows_as_ints()):
-        while rint:
-            low = rint & -rint
-            hits.setdefault(low.bit_length() - 1, []).append(row)
-            rint ^= low
-    for col, rows in hits.items():
-        if len(rows) == 2:
-            uf.union(rows[0], rows[1])
-        elif len(rows) != 0:
-            raise ValueError(f"column {col} has weight {len(rows)}, not an s=2 sample")
-    return uf.n_sets
+    return pair_components(sm.matrix.rows_as_ints())
 
 
 # --- textual fixture format ---------------------------------------------

@@ -22,6 +22,7 @@ Quantities:
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -82,6 +83,16 @@ def _phi_series(base: "mpf", start: int, inner_gap: int, tol: float) -> tuple["m
     return total, terms
 
 
+def _phi_mp(model: str, tol: float, gamma: float = 1.0) -> tuple["mpf", int]:
+    """phi for `model` (scaled by the GF(t) cancellation weight gamma) and
+    the series length used; callers hold mp.workdps(50)."""
+    _check_model(model)
+    if tol <= 0:
+        raise ValueError("tol must be positive")
+    start, gap = (1, 1) if model == WITH else (2, 2)
+    return _phi_series(2 * mpf(gamma) * mp.exp(-2), start, gap, tol)
+
+
 def phi(model: str = WITH, tol: float = 1e-9) -> float:
     """Poisson rate of small fundamental dependencies (r=1, s=3).
 
@@ -89,26 +100,16 @@ def phi(model: str = WITH, tol: float = 1e-9) -> float:
     single-row and fixed-point terms drop and it starts at pairs.
     Numerically ~0.5215 (with) and ~0.1151 (without).
     """
-    _check_model(model)
-    if tol <= 0:
-        raise ValueError("tol must be positive")
     with mp.workdps(50):
-        base = 2 * mp.exp(-2)
-        start, gap = (1, 1) if model == WITH else (2, 2)
-        total, _ = _phi_series(base, start, gap, tol)
-        return float(total)
+        return float(_phi_mp(model, tol)[0])
 
 
 def phi_t(gamma: float, tol: float = 1e-9) -> float:
     """GF(t) small-dependency rate for cancellation weight gamma in (0, 1]."""
     if not 0 < gamma <= 1:
         raise ValueError("gamma must lie in (0, 1]")
-    if tol <= 0:
-        raise ValueError("tol must be positive")
     with mp.workdps(50):
-        base = 2 * mpf(gamma) * mp.exp(-2)
-        total, _ = _phi_series(base, 2, 2, tol)
-        return float(total)
+        return float(_phi_mp(WITHOUT, tol, gamma)[0])
 
 
 def _pi_product_length(q: int = 2) -> int:
@@ -118,22 +119,19 @@ def _pi_product_length(q: int = 2) -> int:
     return jmax
 
 
+# _pi_mp and _p_star_mp are memoized; every caller holds mp.workdps(50), so
+# no cached value was computed at a lower precision.
+@functools.cache
 def _pi_mp(k: int, q: int = 2) -> "mpf":
     jmax = _pi_product_length(q)
 
-    def prod(j0: int) -> "mpf":
+    def prod(j0: int, j1: int) -> "mpf":
         out = mpf(1)
-        for j in range(j0, jmax + 1):
+        for j in range(j0, j1 + 1):
             out *= 1 - mpf(q) ** -j
         return out
 
-    if k == 0:
-        return prod(1)
-    num = prod(k + 1) if k + 1 <= jmax else mpf(1)
-    den = mpf(1)
-    for j in range(1, k + 1):
-        den *= 1 - mpf(q) ** -j
-    return num / den * mpf(q) ** (-k * k)
+    return prod(k + 1, jmax) / prod(1, k) * mpf(q) ** (-k * k)
 
 
 def pi_k(k: int, q: int = 2) -> float:
@@ -161,6 +159,7 @@ def gaussian_binomial(m: int, r: int, q: int) -> int:
     return num // den
 
 
+@functools.cache
 def _p_star_mp(h: int, r: int, m: int) -> "mpf":
     if h < 0 or r < 0 or r > m:
         raise ValueError("need h >= 0 and 0 <= r <= m")
@@ -198,11 +197,8 @@ def corank_distribution(d_max: int, model: str = WITHOUT, tol: float = 1e-9) -> 
     """Pr(corank = d) for d = 0..d_max: diagonal sums of the joint law."""
     if d_max < 0:
         raise ValueError("d_max must be >= 0")
-    _check_model(model)
     with mp.workdps(50):
-        base = 2 * mp.exp(-2)
-        start, gap = (1, 1) if model == WITH else (2, 2)
-        ph, _ = _phi_series(base, start, gap, tol)
+        ph, _ = _phi_mp(model, tol)
         return [float(sum(_p_joint_mp(s, d - s, ph) for s in range(d + 1)))
                 for d in range(d_max + 1)]
 
@@ -361,21 +357,22 @@ class TheoryTable:
 def build_table(model: str = WITHOUT, d_max: int = 12, k_max: int = 12,
                 pstar_max: int = 8, tol: float = 1e-9) -> TheoryTable:
     """Assemble the full theory table; normalisation is checked here."""
-    _check_model(model)
+    for name, size in (("d_max", d_max), ("k_max", k_max), ("pstar_max", pstar_max)):
+        if size < 0:
+            raise ValueError(f"{name} must be >= 0")
     span = max(d_max, 12)   # normalisation is contractual at 12 cells
     with mp.workdps(50):
-        base = 2 * mp.exp(-2)
-        start, gap = (1, 1) if model == WITH else (2, 2)
-        ph, terms = _phi_series(base, start, gap, tol)
+        ph, terms = _phi_mp(model, tol)
         pi_vals = tuple(float(_pi_mp(k)) for k in range(max(k_max, 12) + 1))
         pstar = {(k - r, r, m): float(_p_star_mp(k - r, r, m))
                  for m in range(pstar_max + 1)
                  for k in range(pstar_max + 1)
                  for r in range(min(m, k) + 1)}
-        joint_full = {(s, l): float(_p_joint_mp(s, l, ph))
-                      for s in range(span + 1) for l in range(span + 1)}
-        corank_full = tuple(float(sum(_p_joint_mp(s, d - s, ph) for s in range(d + 1)))
+        joint_mp = {(s, l): _p_joint_mp(s, l, ph)
+                    for s in range(span + 1) for l in range(span + 1)}
+        corank_full = tuple(float(sum(joint_mp[s, d - s] for s in range(d + 1)))
                             for d in range(span + 1))
+        joint_full = {cell: float(v) for cell, v in joint_mp.items()}
     for label, total in (("pi", sum(pi_vals)), ("corank", sum(corank_full)),
                          ("joint", sum(joint_full.values()))):
         if abs(total - 1) > 1e-9:

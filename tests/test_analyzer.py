@@ -129,6 +129,18 @@ class TestConnectivity:
         with pytest.raises(ValueError):
             connected_functional_digraph(m, 0b0011)
 
+    def test_zero_row_is_connected(self):
+        dense = np.eye(4, dtype=np.uint8)
+        dense[2] = 0
+        assert connected_functional_digraph(BitMatrix.from_dense(dense), 0b0100)
+
+    def test_column_hitting_support_four_times_rejected(self):
+        # four equal rows form a dependency, but each column hits it 4 times
+        dense = np.zeros((4, 3), dtype=np.uint8)
+        dense[:, 0] = 1
+        with pytest.raises(ValueError):
+            connected_functional_digraph(BitMatrix.from_dense(dense), 0b1111)
+
     def test_agrees_with_minimality_on_sampled_instances(self):
         for replacement in ("without", "with"):
             cfg = ModelConfig(n=120, replacement=replacement, master_seed=21)

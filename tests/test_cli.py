@@ -153,3 +153,23 @@ class TestUsageErrors:
         with pytest.raises(SystemExit) as e:
             run_cli("theory", "--no-such-flag")
         assert e.value.code == 2
+
+    @pytest.mark.parametrize("argv, flag", [
+        (("audit", "--trials", "0"), "--trials"),
+        (("simulate", "--trials", "0"), "--trials"),
+        (("sweep", "--n-list", "a"), "--n-list"),
+        (("sweep", "--n-list", "250,0"), "--n-list"),
+        (("audit", "--n", "0"), "--n"),
+        (("theory", "--dmax", "-1"), "--dmax"),
+        (("simulate", "--check", "--dmax", "-1"), "--dmax"),
+    ])
+    def test_out_of_range_value_exits_2(self, argv, flag, capsys):
+        with pytest.raises(SystemExit) as e:
+            run_cli(*argv)
+        assert e.value.code == 2
+        assert f"argument {flag}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("tol", ["0", "-0.5"])
+    def test_nonpositive_tol_exits_2(self, tol, capsys):
+        assert run_cli("theory", "--tol", tol) == 2
+        assert "tol must be positive" in capsys.readouterr().err

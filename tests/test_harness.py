@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 
@@ -23,7 +24,8 @@ from fflab.harness import (
     wilson_interval,
     write_records_jsonl,
 )
-from fflab.models import ModelConfig
+from fflab.gf2 import gf2_rank_nullspace
+from fflab.models import ModelConfig, sample
 
 
 def small_campaign(**kw):
@@ -57,6 +59,27 @@ class TestDeterminism:
         path2 = tmp_path / "records2.jsonl"
         write_records_jsonl(records2, str(path2))
         assert path.read_bytes() == path2.read_bytes()
+
+    def test_canonical_records_pinned(self):
+        cfg = ModelConfig(n=120, replacement="without", master_seed=20260809)
+        records, _ = run_campaign(cfg, trials=40)
+        text = "".join(r.to_json_line() + "\n" for r in records)
+        assert (hashlib.sha256(text.encode()).hexdigest()
+                == "d9abc9958395f1d9fe2eafb6544cc5b090c090c9eef206a4fd6f39f2fb3d9b39")
+
+
+class TestGuardHit:
+    def test_guard_hit_record(self):
+        cfg = ModelConfig(n=150, master_seed=20260809)
+        trial = next(t for t in range(100) if run_trial(cfg, t).corank >= 1)
+        rec = run_trial(cfg, trial, guard=0)
+        assert rec.guard_exceeded
+        assert rec.sigma is None and rec.lam is None and rec.weights is None
+        assert rec.corank == rec.n - rec.rank >= 1
+        assert rec.rank == gf2_rank_nullspace(sample(cfg, trial).matrix)[0]
+        summary = summarize([rec, run_trial(cfg, trial)], cfg.master_seed)
+        assert summary.guard_hits == 1
+        assert summary.corank_hist == {rec.corank: 2}
 
 
 class TestSummaries:
@@ -196,6 +219,11 @@ class TestAudits:
     def test_unknown_family(self):
         with pytest.raises(ValueError):
             special_case_audits(["bogus"], trials=1)
+
+    @pytest.mark.parametrize("family", ["r1s2", "r2s2"])
+    def test_no_trials_rejected(self, family):
+        with pytest.raises(ValueError, match="trials"):
+            special_case_audits([family], n=40, trials=0)
 
     def test_describe(self):
         res, = special_case_audits(["r1s2"], n=40, trials=10, master_seed=0)

@@ -1,4 +1,7 @@
+import hashlib
+import json
 import math
+import time
 from fractions import Fraction
 
 import pytest
@@ -23,6 +26,12 @@ PI2 = 0.128350264482934409
 P00_WITHOUT = 0.257381702172753601
 P00_WITH = 0.171431619254157100
 PHI_T_HALF = 0.014087040882215209  # 50-term direct summation at gamma = 1/2
+# sha256 of json.dumps(build_table(model).to_json_dict(), sort_keys=True):
+# every float of the default tables, pinned bit for bit.
+TABLE_SHA256 = {
+    "with": "b7f7337846914acd20e07a92d61725892bc6d8e44d4d17a42eab222155267066",
+    "without": "84c876e3d6ea23ff9c95f6f662f14599affe63b69d32f4f02135c05363c5b267",
+}
 
 
 class TestSigmaKappa:
@@ -285,3 +294,22 @@ class TestTable:
         d = table.to_json_dict()
         assert d["model"] == "without"
         assert len(d["corank"]) == 9
+
+    @pytest.mark.parametrize("model", ["with", "without"])
+    def test_default_tables_exact(self, model):
+        text = json.dumps(theory.build_table(model).to_json_dict(), sort_keys=True)
+        assert hashlib.sha256(text.encode()).hexdigest() == TABLE_SHA256[model]
+
+    @pytest.mark.parametrize("call", [lambda: theory.build_table(tol=0),
+                                      lambda: theory.corank_distribution(3, tol=-1),
+                                      lambda: theory.phi("with", tol=0)])
+    def test_nonpositive_tol_fails_fast(self, call):
+        t0 = time.perf_counter()
+        with pytest.raises(ValueError, match="tol"):
+            call()
+        assert time.perf_counter() - t0 < 1.0
+
+    @pytest.mark.parametrize("size", ["d_max", "k_max", "pstar_max"])
+    def test_negative_sizes_rejected(self, size):
+        with pytest.raises(ValueError, match=size):
+            theory.build_table(**{size: -1})

@@ -301,8 +301,7 @@ class TestTable:
         assert hashlib.sha256(text.encode()).hexdigest() == TABLE_SHA256[model]
 
     @pytest.mark.parametrize("call", [lambda: theory.build_table(tol=0),
-                                      lambda: theory.corank_distribution(3, tol=-1),
-                                      lambda: theory.phi("with", tol=0)])
+                                      lambda: theory.corank_distribution(3, tol=-1)])
     def test_nonpositive_tol_fails_fast(self, call):
         t0 = time.perf_counter()
         with pytest.raises(ValueError, match="tol"):

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from .gf2 import BitMatrix, NullSpaceBasis, bit_indices, gf2_rank_nullspace, gf2_vecmat
+from .gf2 import BitMatrix, NullSpaceBasis, _reduce, bit_indices, gf2_rank_nullspace, gf2_vecmat
 from .unionfind import pair_components
 
 
@@ -45,6 +45,14 @@ def in_large_window(w: int, n: int, a: float) -> bool:
     return abs(w - n / 2) <= window_halfwidth(n, a)
 
 
+def _gray(vectors: list[int]):
+    """The 2^k - 1 nonzero XOR combinations of the vectors, in Gray-code order."""
+    cur = 0
+    for g in range(1, 1 << len(vectors)):
+        cur ^= vectors[(g & -g).bit_length() - 1]
+        yield cur
+
+
 def enumerate_codewords(basis: NullSpaceBasis | list[int],
                         guard: int = 20) -> list[tuple[int, int]]:
     """All 2^d - 1 nonzero codewords as (support, weight), Gray-code order.
@@ -57,12 +65,7 @@ def enumerate_codewords(basis: NullSpaceBasis | list[int],
     d = len(vectors)
     if d > guard:
         raise GuardExceeded(f"null-space dimension {d} exceeds guard {guard}")
-    out: list[tuple[int, int]] = []
-    cur = 0
-    for g in range(1, 1 << d):
-        cur ^= vectors[(g & -g).bit_length() - 1]
-        out.append((cur, cur.bit_count()))
-    return out
+    return [(c, c.bit_count()) for c in _gray(vectors)]
 
 
 def fundamental_small(codewords: list[tuple[int, int]], omega: int) -> list[int]:
@@ -99,48 +102,22 @@ def connected_functional_digraph(m: BitMatrix, support: int) -> bool:
     return pair_components([m.row_int(r) for r in bit_indices(support)]) == 1
 
 
-class _Span:
-    """Incremental GF(2) span of int-coded vectors."""
-
-    def __init__(self) -> None:
-        self.pivots: dict[int, int] = {}
-
-    def add(self, v: int) -> bool:
-        while v:
-            lead = v.bit_length() - 1
-            if lead not in self.pivots:
-                self.pivots[lead] = v
-                return True
-            v ^= self.pivots[lead]
-        return False
-
-
 def greedy_large_basis(codewords: list[tuple[int, int]], small_supports: list[int],
                        n: int, omega: int, window_a: float) -> list[int]:
     """Independent set of large codewords, greedy in enumeration order.
 
     Independence is taken modulo the span of the small supports, so no
-    two picks differ by a small dependency.
+    two picks differ by a small dependency: a large codeword is picked
+    iff it does not reduce to zero against the smalls and earlier ones.
     """
-    span = _Span()
-    for s in small_supports:
-        span.add(s)
-    picked = []
-    for c, w in codewords:
-        if w > omega and in_large_window(w, n, window_a) and span.add(c):
-            picked.append(c)
-    return picked
+    large = [c for c, w in codewords if w > omega and in_large_window(w, n, window_a)]
+    reduced = _reduce([*small_supports, *large], 0)[len(small_supports):]
+    return [c for c, v in zip(large, reduced) if v]
 
 
 def is_simple_sequence(vectors: list[int], n: int, a: float = 1.0) -> bool:
     """True iff every nonempty XOR combination has weight inside J_a."""
-    k = len(vectors)
-    cur = 0
-    for g in range(1, 1 << k):
-        cur ^= vectors[(g & -g).bit_length() - 1]
-        if not in_large_window(cur.bit_count(), n, a):
-            return False
-    return True
+    return all(in_large_window(c.bit_count(), n, a) for c in _gray(vectors))
 
 
 @dataclass(frozen=True)

@@ -18,6 +18,7 @@ from .gf2 import BitMatrix
 from .gfp import PrimeFieldMatrix, gfp_rank_nullspace
 from .harness import (
     AUDIT_FAMILIES,
+    audit_config,
     compare_to_theory,
     headline_checks,
     run_campaign,
@@ -248,6 +249,12 @@ def cmd_analyze(args) -> int:
 
 def cmd_audit(args) -> int:
     families = AUDIT_FAMILIES if args.family == "all" else (args.family,)
+    try:
+        for family in families:
+            audit_config(family, args.n, args.seed)
+    except ValueError as e:
+        print(f"error: {e}", file=sys.stderr)
+        return 2
     results = special_case_audits(families, n=args.n, trials=args.trials,
                                   master_seed=args.seed, workers=args.workers)
     print(f"seed={args.seed}")

@@ -7,11 +7,12 @@ throughout this package, so the left kernel is the primary product here.
 Most linear-algebra libraries return the column kernel instead; do not
 mix the two.
 
-Elimination carries an n x n transform initialised to the identity.  Rows
-of the transform aligned with rows that reduce to zero form the basis.
-Inside the kernel each row (matrix part and transform part) lives in a
-single Python integer, which makes the word-level XOR row operation a
-one-liner and is faster than per-word numpy updates at these sizes.
+Elimination carries an n x n transform initialised to the identity,
+packed below the matrix row: each row (matrix part above bit n, transform
+part below it) lives in a single Python integer, which makes the
+word-level XOR row operation a one-liner and is faster than per-word
+numpy updates at these sizes.  Rows that reduce to a zero matrix part
+leave their transform part, and those form the basis.
 """
 from __future__ import annotations
 
@@ -72,34 +73,37 @@ class BitMatrix:
         return cls(n_rows, n_cols, np.zeros((n_rows, _n_words(n_cols)), dtype=np.uint64))
 
     @classmethod
-    def identity(cls, n: int) -> "BitMatrix":
-        m = cls.zeros(n, n)
-        idx = np.arange(n)
-        m.words[idx, idx // WORD_BITS] = np.uint64(1) << (idx % WORD_BITS).astype(np.uint64)
+    def from_entries(cls, n_rows: int, n_cols: int, rows, cols) -> "BitMatrix":
+        """Set entry (rows[k], cols[k]) for every k; repeated entries XOR-cancel.
+        rows and cols are index arrays of any shapes that broadcast together."""
+        m = cls.zeros(n_rows, n_cols)
+        rows = np.asarray(rows, dtype=np.intp)
+        cols = np.asarray(cols, dtype=np.intp)
+        if rows.size and cols.size and (min(rows.min(), cols.min()) < 0
+                                        or rows.max() >= n_rows or cols.max() >= n_cols):
+            raise ValueError("entry index out of range")
+        wi, b = cols >> 6, cols & 63  # word and bit; WORD_BITS == 64
+        np.bitwise_xor.at(m.words, (rows, wi), np.uint64(1) << b.astype(np.uint64))
         return m
+
+    @classmethod
+    def identity(cls, n: int) -> "BitMatrix":
+        idx = np.arange(n)
+        return cls.from_entries(n, n, idx, idx)
 
     @classmethod
     def from_dense(cls, dense: np.ndarray) -> "BitMatrix":
         a = np.asarray(dense)
         if a.ndim != 2:
             raise ValueError("expected a 2-d array")
-        n_rows, n_cols = a.shape
-        bits = (a != 0).astype(np.uint8)
-        padded = np.zeros((n_rows, _n_words(n_cols) * WORD_BITS), dtype=np.uint8)
-        padded[:, :n_cols] = bits
-        packed = np.packbits(padded, axis=1, bitorder="little")
-        return cls(n_rows, n_cols, packed.view(np.uint64).copy())
+        return cls.from_entries(*a.shape, *np.nonzero(a))
 
     @classmethod
     def from_columns(cls, n_rows: int, columns: Sequence[Iterable[int]]) -> "BitMatrix":
         """Build from per-column row-index lists; repeated entries XOR-cancel."""
-        m = cls.zeros(n_rows, len(columns))
-        for c, rows in enumerate(columns):
-            wi, b = divmod(c, WORD_BITS)
-            mask = np.uint64(1 << b)
-            for r in rows:
-                m.words[r, wi] ^= mask
-        return m
+        columns = [list(rows) for rows in columns]
+        cols = np.repeat(np.arange(len(columns)), [len(rows) for rows in columns])
+        return cls.from_entries(n_rows, len(columns), [r for rows in columns for r in rows], cols)
 
     def to_dense(self) -> np.ndarray:
         bits = np.unpackbits(self.words.view(np.uint8), axis=1, bitorder="little")
@@ -149,42 +153,45 @@ class NullSpaceBasis:
 def gf2_vecmat(x: int, m: BitMatrix) -> int:
     """x M over GF(2): XOR of the rows of m selected by the bits of x."""
     acc = 0
-    w = m.words
-    stride = w.shape[1] * 8
-    buf = w.tobytes()
     for i in bit_indices(x):
-        acc ^= int.from_bytes(buf[i * stride:(i + 1) * stride], "little")
+        acc ^= m.row_int(i)
     return acc
+
+
+def _reduce(rows: list[int], stop: int) -> list[int]:
+    """Reduce each row against the pivots of the rows before it, keyed by
+    leading bit; a row that keeps a bit at or above ``stop`` becomes a
+    pivot.  Returns the reduced rows, in row order."""
+    pivots: dict[int, int] = {}
+    out = []
+    for v in rows:
+        lead = v.bit_length() - 1
+        while lead >= stop:
+            hit = pivots.get(lead)
+            if hit is None:
+                pivots[lead] = v
+                break
+            v ^= hit
+            lead = v.bit_length() - 1
+        out.append(v)
+    return out
 
 
 def gf2_rank_nullspace(m: BitMatrix) -> tuple[int, NullSpaceBasis]:
     """Rank and left-null-space basis of a BitMatrix.
 
-    Reduces each row against a dictionary of pivot rows keyed by leading
-    bit, XOR-ing the identity-initialised transform alongside.  A row
-    that cancels to zero certifies its transform as a dependency.
+    Row i carries the matrix row above bit n_rows and the unit vector e_i
+    below it, which accumulates the transform.  A row that reduces below
+    bit n_rows has a zero matrix part, and its low bits are a dependency.
 
     Guarantees: rank + basis.dimension == n_rows; every basis vector x
     satisfies x M = 0; the vectors are linearly independent and span all
     dependencies of m.
     """
-    rows = m.rows_as_ints()
-    pivots: dict[int, tuple[int, int]] = {}
-    basis: list[int] = []
-    for i in range(m.n_rows):
-        v = rows[i]
-        t = 1 << i
-        while v:
-            lead = v.bit_length() - 1
-            hit = pivots.get(lead)
-            if hit is None:
-                pivots[lead] = (v, t)
-                break
-            v ^= hit[0]
-            t ^= hit[1]
-        else:
-            basis.append(t)
-    return len(pivots), NullSpaceBasis(m.n_rows, tuple(basis))
+    nr = m.n_rows
+    rows = [(v << nr) | (1 << i) for i, v in enumerate(m.rows_as_ints())]
+    basis = tuple(v for v in _reduce(rows, nr) if v >> nr == 0)
+    return nr - len(basis), NullSpaceBasis(nr, basis)
 
 
 def combine_codewords(basis: NullSpaceBasis, mask: Sequence[int]) -> int:

@@ -386,17 +386,25 @@ def _audit_trial(family: str, cfg: ModelConfig, trial: int) -> tuple[int, int]:
             0 if audit.hit is None else int(audit.hit(corank)))
 
 
+def audit_config(family: str, n: int, master_seed: int = 0) -> ModelConfig:
+    """The model an audit family samples at size n; ValueError if it has none."""
+    if family not in _AUDITS:
+        raise ValueError(f"unknown audit family {family!r}")
+    try:
+        return ModelConfig(n=n, master_seed=master_seed, **_AUDITS[family].config)
+    except ValueError as e:
+        raise ValueError(f"audit family {family} at n={n}: {e}") from None
+
+
 def special_case_audits(families: Sequence[str], n: int = 500, trials: int = 1000,
                         master_seed: int = 0, workers: int = 1) -> list[AuditResult]:
     """Exact and high-probability checks for the special-case models."""
     if trials < 1:
         raise ValueError("trials must be >= 1")
+    configs = [audit_config(family, n, master_seed) for family in families]
     out = []
-    for family in families:
-        if family not in _AUDITS:
-            raise ValueError(f"unknown audit family {family!r}")
+    for family, cfg in zip(families, configs):
         audit = _AUDITS[family]
-        cfg = ModelConfig(n=n, master_seed=master_seed, **audit.config)
         fn = partial(_audit_trial, family, cfg)
         results = _pool_map(fn, range(trials), workers)
         violations = sum(v for v, _ in results)

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gf2 import WORD_BITS, BitMatrix
+from .gf2 import BitMatrix
 from .gfp import PrimeFieldMatrix, is_prime
 from .unionfind import pair_components
 
@@ -103,40 +103,29 @@ def trial_generator(cfg: ModelConfig, trial: int) -> np.random.Generator:
 
 def _draw_positions(rng: np.random.Generator, n: int, r: int, s: int,
                     replacement: str) -> np.ndarray:
-    """Random row positions, shape (r*n, s-1); column c is block c//n, row index c%n.
+    """Row positions of the s entries of every column, shape (r*n, s).
 
-    The raw uniforms for all columns come from a single generator call
-    (column-major, entry slots within a column consecutive), so streams
-    are reproducible for a given (config, trial) regardless of caller.
+    Column c is block c//n; its entry 0 is the diagonal row c%n and
+    entries 1..s-1 are random.  The raw uniforms for all columns come
+    from a single generator call (column-major, entry slots within a
+    column consecutive), so streams are reproducible for a given
+    (config, trial) regardless of caller.
     """
     rn = r * n
-    diag = np.tile(np.arange(n), r)
+    out = np.empty((rn, s), dtype=np.int64)
+    out[:, 0] = np.tile(np.arange(n), r)
     if replacement == WITH:
-        return rng.integers(0, n, size=(rn, s - 1))
+        out[:, 1:] = rng.integers(0, n, size=(rn, s - 1))
+        return out
     highs = n - 1 - np.arange(s - 1)
     raw = rng.integers(0, highs, size=(rn, s - 1))
-    out = np.empty((rn, s - 1), dtype=np.int64)
-    excl = diag[:, None]  # sorted exclusion lists, grown one slot at a time
-    for t in range(s - 1):
-        x = raw[:, t].copy()
-        for j in range(excl.shape[1]):
+    for t in range(1, s):
+        x = raw[:, t - 1].copy()
+        excl = np.sort(out[:, :t], axis=1)  # skip the rows drawn so far, in order
+        for j in range(t):
             x += x >= excl[:, j]
         out[:, t] = x
-        excl = np.sort(np.concatenate([excl, x[:, None]], axis=1), axis=1)
     return out
-
-
-def _pack_gf2(n: int, r: int, positions: np.ndarray) -> BitMatrix:
-    rn = r * n
-    cols = np.arange(rn)
-    diag = np.tile(np.arange(n), r)
-    words = np.zeros((n, (rn + WORD_BITS - 1) // WORD_BITS), dtype=np.uint64)
-    masks = np.uint64(1) << (cols % WORD_BITS).astype(np.uint64)
-    wi = cols // WORD_BITS
-    np.bitwise_xor.at(words, (diag, wi), masks)
-    for t in range(positions.shape[1]):
-        np.bitwise_xor.at(words, (positions[:, t], wi), masks)
-    return BitMatrix(n, rn, words)
 
 
 def sample_gf2(cfg: ModelConfig, trial: int) -> SampledMatrix:
@@ -150,8 +139,10 @@ def sample_gf2(cfg: ModelConfig, trial: int) -> SampledMatrix:
     if cfg.field != "gf2":
         raise ValueError("sample_gf2 requires field='gf2'")
     rng = trial_generator(cfg, trial)
+    rn = cfg.r * cfg.n
     pos = _draw_positions(rng, cfg.n, cfg.r, cfg.s, cfg.replacement)
-    return SampledMatrix(_pack_gf2(cfg.n, cfg.r, pos), cfg, trial)
+    m = BitMatrix.from_entries(cfg.n, rn, pos, np.arange(rn)[:, None])
+    return SampledMatrix(m, cfg, trial)
 
 
 def sample_gft(cfg: ModelConfig, trial: int) -> SampledMatrix:
@@ -184,8 +175,8 @@ def sample_gft(cfg: ModelConfig, trial: int) -> SampledMatrix:
         dia = np.ones(n, dtype=np.int64)
     # positions are distinct within a column, so plain assignment is exact
     entries[i, i] = dia
-    entries[pos[:, 0], i] = off[:, 0]
-    entries[pos[:, 1], i] = off[:, 1]
+    entries[pos[:, 1], i] = off[:, 0]
+    entries[pos[:, 2], i] = off[:, 1]
     return SampledMatrix(PrimeFieldMatrix(p, n, n, entries), cfg, trial)
 
 
@@ -271,7 +262,7 @@ def parse_matrix(text: str) -> BitMatrix | PrimeFieldMatrix:
     if len(lines) - 1 != n_cols:
         raise MatrixParseError(len(lines), 1,
                                f"expected {n_cols} column lines, found {len(lines) - 1}")
-    dense = np.zeros((n_rows, n_cols), dtype=np.int64)
+    rows, cols, vals = [], [], []
     for j in range(n_cols):
         lineno = j + 2
         pos = 1
@@ -290,8 +281,12 @@ def parse_matrix(text: str) -> BitMatrix | PrimeFieldMatrix:
             if not 0 < val < p:
                 raise MatrixParseError(lineno, col_at, f"value {val} out of range for {head[0]}")
             seen.add(row)
-            dense[row, j] = val
+            rows.append(row)
+            cols.append(j)
+            vals.append(val)
             pos = col_at + len(tok)
     if head[0] == "gf2":
-        return BitMatrix.from_dense(dense)
+        return BitMatrix.from_entries(n_rows, n_cols, rows, cols)
+    dense = np.zeros((n_rows, n_cols), dtype=np.int64)
+    dense[rows, cols] = vals
     return PrimeFieldMatrix.from_dense(dense, p)

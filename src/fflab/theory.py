@@ -142,6 +142,8 @@ def pi_k(k: int, q: int = 2) -> float:
     """
     if k < 0:
         raise ValueError("k must be >= 0")
+    if q < 2:
+        raise ValueError("q must be >= 2")
     with mp.workdps(50):
         return float(_pi_mp(k, q))
 

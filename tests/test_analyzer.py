@@ -15,12 +15,14 @@ from fflab.analyzer import (
     enumerate_codewords,
     fundamental_small,
     greedy_large_basis,
+    in_large_window,
     intersection_structure,
     is_simple_sequence,
     window_halfwidth,
 )
 from fflab.gf2 import BitMatrix, NullSpaceBasis, gf2_rank_nullspace, indices_to_bits
 from fflab.models import ModelConfig, sample_gf2
+from oracles import rank_mod2_dense
 
 
 class TestEnumerate:
@@ -249,6 +251,42 @@ class TestAnalyzeMatrix:
             if not rep.anomalies:
                 assert rep.large_basis_deficit == 0
                 assert len(rep.large_basis) == rep.lam
+
+    @given(st.integers(0, 2**31 - 1), st.integers(0, 4), st.integers(0, 12),
+           st.integers(0, 4), st.sampled_from([0.5, 1.0, 4.0]))
+    def test_greedy_large_basis_matches_rank_oracle(self, seed, n_small, n_code,
+                                                   omega, window_a):
+        # a large codeword is picked iff it raises the rank of the smalls
+        # plus the earlier picks; half the codewords are planted as XORs of
+        # smalls and earlier codewords
+        n = 16
+        rng = np.random.default_rng(seed)
+        smalls = [int(rng.integers(1, 1 << n)) for _ in range(n_small)]
+        pool = list(smalls)
+        codewords = []
+        for _ in range(n_code):
+            c = 0
+            if pool and rng.random() < 0.5:
+                for i in rng.choice(len(pool), size=int(rng.integers(1, len(pool) + 1)),
+                                    replace=False):
+                    c ^= pool[i]
+            else:
+                c = int(rng.integers(0, 1 << n))
+            if c:
+                codewords.append((c, c.bit_count()))
+                pool.append(c)
+
+        def rank(vectors):
+            dense = np.array([[(v >> i) & 1 for i in range(n)] for v in vectors],
+                             dtype=np.int64).reshape(len(vectors), n)
+            return rank_mod2_dense(dense)
+
+        expect = []
+        for c, w in codewords:
+            if (w > omega and in_large_window(w, n, window_a)
+                    and rank(smalls + expect + [c]) > rank(smalls + expect)):
+                expect.append(c)
+        assert greedy_large_basis(codewords, smalls, n, omega, window_a) == expect
 
     def test_default_omega(self):
         assert default_omega(500) == math.ceil(math.log(500) ** 2)

@@ -136,6 +136,17 @@ class TestAuditCommand:
                        "--trials", "40") == 0
         assert "PASS" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("family, n_min", [
+        ("r1s2", 2), ("r2s2", 2), ("r2s3", 3), ("gf3model1", 3)])
+    def test_smallest_n(self, family, n_min, capsys):
+        assert run_cli("audit", "--family", family, "--n", str(n_min - 1),
+                       "--trials", "1") == 2
+        out, err = capsys.readouterr()
+        assert out == "" and f"error: audit family {family} at n={n_min - 1}" in err
+        assert run_cli("audit", "--family", family, "--n", str(n_min),
+                       "--trials", "1") in (0, 1)
+        assert f"{family}: n={n_min} trials=1" in capsys.readouterr().out
+
     def test_gf3model1_fails_fraction_threshold(self, capsys):
         # corank=1 fraction sits near 0.77, below the 0.99 audit threshold
         assert run_cli("audit", "--family", "gf3model1", "--n", "60",

@@ -91,13 +91,28 @@ def test_rank_invariant_under_permutations(seed, n_rows, n_cols):
     assert rank == rank_p
 
 
-@given(st.integers(0, 2**31 - 1), st.integers(1, 30), st.integers(1, 30))
+def packbits_words(dense):
+    """Words of a dense 0/1 matrix packed row by row with np.packbits."""
+    n_rows, n_cols = dense.shape
+    padded = np.zeros((n_rows, -(-n_cols // 64) * 64), dtype=np.uint8)
+    padded[:, :n_cols] = dense != 0
+    return np.packbits(padded, axis=1, bitorder="little").view(np.uint64)
+
+
+@given(st.integers(0, 2**31 - 1), st.integers(1, 140), st.integers(1, 140))
 def test_dense_roundtrip(seed, n_rows, n_cols):
     rng = np.random.default_rng(seed)
     dense = random_dense(rng, n_rows, n_cols)
     m = BitMatrix.from_dense(dense)
     assert np.array_equal(m.to_dense(), dense)
     assert m == BitMatrix.from_dense(m.to_dense())
+    assert np.array_equal(m.words, packbits_words(dense))
+    rows, cols = np.nonzero(dense)
+    assert m == BitMatrix.from_entries(n_rows, n_cols, rows, cols)
+    order = rng.permutation(len(rows))
+    assert m == BitMatrix.from_entries(n_rows, n_cols, rows[order], cols[order])
+    assert m == BitMatrix.from_columns(n_rows, [np.nonzero(dense[:, j])[0].tolist()
+                                                for j in range(n_cols)])
 
 
 def test_from_columns_xor_cancellation():
@@ -106,6 +121,22 @@ def test_from_columns_xor_cancellation():
     assert dense[:, 0].tolist() == [1, 1, 0, 0]
     assert dense[:, 1].tolist() == [0, 0, 0, 0]  # repeated entry cancels
     assert dense[:, 2].tolist() == [0, 1, 0, 0]  # 3 appears twice
+    assert m == BitMatrix.from_entries(4, 3, [0, 1, 2, 2, 3, 1, 3], [0, 0, 1, 1, 2, 2, 2])
+    # an entry repeated k times survives iff k is odd, across word boundaries
+    rows = [5, 5, 5, 0, 0, 7, 7, 7, 7, 2]
+    cols = [64, 64, 64, 63, 63, 129, 129, 129, 129, 0]
+    z = BitMatrix.from_entries(8, 130, rows, cols)
+    assert [(i, j) for i, j in zip(*np.nonzero(z.to_dense()))] == [(2, 0), (5, 64)]
+    # index arrays broadcast: column c gets rows r[c, 0] .. r[c, 2]
+    r = np.array([[0, 1, 1], [2, 3, 0]])
+    assert (BitMatrix.from_entries(4, 2, r, np.arange(2)[:, None])
+            == BitMatrix.from_columns(4, [[0, 1, 1], [2, 3, 0]]))
+    # out-of-range indices are refused, not wrapped or left as stray bits
+    for rows, cols in (([0], [-1]), ([0], [3]), ([0], [64]), ([-1], [0]), ([4], [0])):
+        with pytest.raises(ValueError, match="out of range"):
+            BitMatrix.from_entries(4, 3, rows, cols)
+    with pytest.raises(ValueError, match="out of range"):
+        BitMatrix.from_columns(4, [[0], [-1]])
 
 
 def test_row_int_and_column_hits():

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -234,6 +235,22 @@ class TestSerialization:
         cfg = ModelConfig(n=40, master_seed=14)
         m = sample(cfg, 3).matrix
         assert parse_matrix(serialize_matrix(m)) == m
+
+    def test_gf2_parse_allocates_no_dense_array(self):
+        n = 3000
+        rng = np.random.default_rng(3000)
+        a = rng.integers(0, n, size=n)
+        b = (a + rng.integers(1, n, size=n)) % n
+        lines = [f"gf2 {n} {n}"] + [f"{min(x, y)}:1 {max(x, y)}:1" for x, y in zip(a, b)]
+        text = "\n".join(lines) + "\n"
+        tracemalloc.start()
+        try:
+            m = parse_matrix(text)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert int(np.bitwise_count(m.words).sum()) == 2 * n
+        assert peak < 16 * 2**20  # a dense int64 n x n array alone is 72 MB
 
     def test_parse_errors_carry_line_and_column(self):
         with pytest.raises(MatrixParseError) as e:

@@ -115,6 +115,13 @@ class TestPi:
         with pytest.raises(ValueError):
             theory.pi_k(-1)
 
+    @pytest.mark.parametrize("q", [1, 0, -3])
+    def test_field_size_below_two_fails_fast(self, q):
+        t0 = time.perf_counter()
+        with pytest.raises(ValueError, match="q must be"):
+            theory.pi_k(0, q=q)
+        assert time.perf_counter() - t0 < 1.0
+
 
 class TestGaussianBinomial:
     def test_base_cases(self):

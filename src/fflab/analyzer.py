@@ -28,7 +28,16 @@ from .unionfind import pair_components
 
 
 class GuardExceeded(RuntimeError):
-    """Null-space dimension above the enumeration guard; refused, not truncated."""
+    """Null-space dimension above the enumeration guard; refused, not truncated.
+
+    ``dimension`` is the refused dimension, so the rank of an n-row
+    matrix is n - dimension without a second elimination.  It defaults to
+    None only so that the exception unpickles from its message.
+    """
+
+    def __init__(self, message: str, dimension: int | None = None):
+        super().__init__(message)
+        self.dimension = dimension
 
 
 def default_omega(n: int) -> int:
@@ -64,7 +73,7 @@ def enumerate_codewords(basis: NullSpaceBasis | list[int],
     vectors = list(basis.vectors) if isinstance(basis, NullSpaceBasis) else list(basis)
     d = len(vectors)
     if d > guard:
-        raise GuardExceeded(f"null-space dimension {d} exceeds guard {guard}")
+        raise GuardExceeded(f"null-space dimension {d} exceeds guard {guard}", d)
     return [(c, c.bit_count()) for c in _gray(vectors)]
 
 
@@ -111,7 +120,7 @@ def greedy_large_basis(codewords: list[tuple[int, int]], small_supports: list[in
     iff it does not reduce to zero against the smalls and earlier ones.
     """
     large = [c for c, w in codewords if w > omega and in_large_window(w, n, window_a)]
-    reduced = _reduce([*small_supports, *large], 0)[len(small_supports):]
+    reduced = list(_reduce([*small_supports, *large], 0))[len(small_supports):]
     return [c for c, v in zip(large, reduced) if v]
 
 

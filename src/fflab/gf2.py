@@ -7,17 +7,22 @@ throughout this package, so the left kernel is the primary product here.
 Most linear-algebra libraries return the column kernel instead; do not
 mix the two.
 
-Elimination carries an n x n transform initialised to the identity,
-packed below the matrix row: each row (matrix part above bit n, transform
-part below it) lives in a single Python integer, which makes the
-word-level XOR row operation a one-liner and is faster than per-word
-numpy updates at these sizes.  Rows that reduce to a zero matrix part
-leave their transform part, and those form the basis.
+Elimination works on the columns, which are sparse (the sampled models
+put at most s ones in each), and carries no transform.  Each column is
+one Python int over relabelled rows: rows are ordered by degree,
+descending, so the lowest-degree rows take the highest bits and lead the
+pivots, which keeps fill-in low (a light form of Markowitz ordering, as
+in structured Gaussian elimination).  The rows that lead no pivot are
+the free rows; each gives one null vector by back-substitution over the
+pivots above it.  A final Gauss-Jordan pass keyed by the top row index
+makes the basis canonical, so it does not depend on the engine or on
+the row order used inside it.
 """
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -56,6 +61,10 @@ class BitMatrix:
     n_rows: int
     n_cols: int
     words: np.ndarray = field(repr=False)
+    # (rows, cols) index arrays the words were packed from, repeats
+    # included; None for a matrix built from raw words
+    _entries: tuple[np.ndarray, np.ndarray] | None = field(
+        default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.n_rows < 1 or self.n_cols < 1:
@@ -75,7 +84,8 @@ class BitMatrix:
     @classmethod
     def from_entries(cls, n_rows: int, n_cols: int, rows, cols) -> "BitMatrix":
         """Set entry (rows[k], cols[k]) for every k; repeated entries XOR-cancel.
-        rows and cols are index arrays of any shapes that broadcast together."""
+        rows and cols are index arrays of any shapes that broadcast together;
+        the matrix keeps a flat copy of them for the elimination engine."""
         m = cls.zeros(n_rows, n_cols)
         rows = np.asarray(rows, dtype=np.intp)
         cols = np.asarray(cols, dtype=np.intp)
@@ -84,6 +94,7 @@ class BitMatrix:
             raise ValueError("entry index out of range")
         wi, b = cols >> 6, cols & 63  # word and bit; WORD_BITS == 64
         np.bitwise_xor.at(m.words, (rows, wi), np.uint64(1) << b.astype(np.uint64))
+        m._entries = tuple(a.flatten() for a in np.broadcast_arrays(rows, cols))
         return m
 
     @classmethod
@@ -108,6 +119,25 @@ class BitMatrix:
     def to_dense(self) -> np.ndarray:
         bits = np.unpackbits(self.words.view(np.uint8), axis=1, bitorder="little")
         return bits[:, : self.n_cols]
+
+    def nonzero(self) -> tuple[np.ndarray, np.ndarray]:
+        """(rows, cols) of the set bits, from the words alone: each pass
+        peels the lowest set bit of every nonzero word, so the cost is
+        the number of set bits, not n_rows * n_cols.  Unordered."""
+        wr, wc = np.nonzero(self.words)
+        vals = self.words[wr, wc]
+        rows, cols = [], []
+        while vals.size:
+            low = vals & (~vals + np.uint64(1))
+            rows.append(wr)
+            # a power of two converts to float64 exactly; frexp gives its exponent
+            cols.append(wc * WORD_BITS + np.frexp(low.astype(np.float64))[1] - 1)
+            vals ^= low
+            keep = vals != 0
+            wr, wc, vals = wr[keep], wc[keep], vals[keep]
+        if not rows:
+            return np.empty(0, dtype=np.intp), np.empty(0, dtype=np.intp)
+        return np.concatenate(rows), np.concatenate(cols).astype(np.intp)
 
     def get(self, i: int, j: int) -> int:
         return int(self.words[i, j // WORD_BITS] >> np.uint64(j % WORD_BITS)) & 1
@@ -158,40 +188,90 @@ def gf2_vecmat(x: int, m: BitMatrix) -> int:
     return acc
 
 
-def _reduce(rows: list[int], stop: int) -> list[int]:
+def _reduce(rows: Iterable[int], stop: int) -> Iterator[int]:
     """Reduce each row against the pivots of the rows before it, keyed by
     leading bit; a row that keeps a bit at or above ``stop`` becomes a
-    pivot.  Returns the reduced rows, in row order."""
+    pivot.  Yields the reduced rows, in row order, as they are reduced,
+    so a caller may stop early."""
     pivots: dict[int, int] = {}
-    out = []
+    get = pivots.get
     for v in rows:
         lead = v.bit_length() - 1
         while lead >= stop:
-            hit = pivots.get(lead)
+            hit = get(lead)
             if hit is None:
                 pivots[lead] = v
                 break
             v ^= hit
             lead = v.bit_length() - 1
-        out.append(v)
-    return out
+        yield v
 
 
 def gf2_rank_nullspace(m: BitMatrix) -> tuple[int, NullSpaceBasis]:
     """Rank and left-null-space basis of a BitMatrix.
 
-    Row i carries the matrix row above bit n_rows and the unit vector e_i
-    below it, which accumulates the transform.  A row that reduces below
-    bit n_rows has a zero matrix part, and its low bits are a dependency.
+    Column form: the rows are relabelled by degree, descending (stable),
+    so the lowest-degree rows hold the highest labels; each column is
+    one Python int over those labels, built by XOR so that repeated
+    entries cancel, and ``_reduce`` eliminates the columns.  Rank is the
+    number of nonzero reduced columns.  A label j that leads no pivot is
+    free; its null vector x has bit j, no other free bit, and, for each
+    pivot lead p > j in ascending order, bit p equal to the parity of
+    x & pivot_p.  The vectors are mapped back to the original rows and
+    put in reduced echelon form keyed by the top row index.
+
+    That form does not depend on the engine: with D the set of rows i
+    that lie in the span of the rows below i, the basis vector for i in
+    D is the unique null vector whose support meets D only at i, and
+    the vectors come in ascending order of i.
 
     Guarantees: rank + basis.dimension == n_rows; every basis vector x
     satisfies x M = 0; the vectors are linearly independent and span all
     dependencies of m.
     """
     nr = m.n_rows
-    rows = [(v << nr) | (1 << i) for i, v in enumerate(m.rows_as_ints())]
-    basis = tuple(v for v in _reduce(rows, nr) if v >> nr == 0)
-    return nr - len(basis), NullSpaceBasis(nr, basis)
+    rows, cols = m._entries if m._entries is not None else m.nonzero()
+    order = np.argsort(-np.bincount(rows, minlength=nr), kind="stable")
+    label = np.empty(nr, dtype=np.intp)
+    label[order] = np.arange(nr)
+    columns = [0] * m.n_cols
+    for c, k in zip(cols.tolist(), label[rows].tolist()):
+        columns[c] ^= 1 << k
+    pivots: dict[int, int] = {}
+    for v in _reduce(columns, 0):
+        if v:
+            pivots[v.bit_length() - 1] = v
+            if len(pivots) == nr:  # full rank: the other columns are in the span
+                break
+    leads = sorted(pivots)
+    vectors = []
+    for j in set(range(nr)).difference(pivots):
+        x = 1 << j
+        for p in leads[bisect_right(leads, j):]:
+            if (x & pivots[p]).bit_count() & 1:
+                x |= 1 << p
+        vectors.append(_relabel(x, label, nr))
+    return len(pivots), NullSpaceBasis(nr, _canonical(vectors))
+
+
+def _relabel(x: int, label: np.ndarray, nr: int) -> int:
+    """Move bit label[i] of x to bit i."""
+    bits = np.unpackbits(np.frombuffer(x.to_bytes(_n_words(nr) * 8, "little"), np.uint8),
+                         bitorder="little")
+    return int.from_bytes(np.packbits(bits[label], bitorder="little").tobytes(), "little")
+
+
+def _canonical(vectors: list[int]) -> tuple[int, ...]:
+    """Reduced echelon form keyed by top bit, in ascending order, of a
+    list of independent vectors: each vector keeps its own top bit and
+    no other vector's."""
+    out = sorted(_reduce(vectors, 0))
+    for k, v in enumerate(out):
+        top = 1 << (v.bit_length() - 1)
+        for i in range(k + 1, len(out)):
+            if out[i] & top:
+                out[i] ^= v
+    return tuple(out)
 
 
 def combine_codewords(basis: NullSpaceBasis, mask: Sequence[int]) -> int:

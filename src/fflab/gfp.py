@@ -4,12 +4,14 @@ Same contract as the GF(2) side: row rank plus a basis of the *left*
 null space {x : xM = 0 mod p}.  Entries are int64 residues in [0, p).
 Prime moduli only; extension fields are out of scope.
 
-Elimination follows :func:`fflab.gf2.gf2_rank_nullspace`: each row lives
-in one Python int, and a dictionary maps each leading position to a
-pivot row.  Over GF(p) a column is a *lane* of w bits instead of a single
-bit, and the XOR row operation becomes a lane-wise multiply-add followed
-by a lane-wise reduction mod p (see :class:`_Lanes`).  Python ints never
-overflow, so the engine is exact for every prime.
+Elimination works on the rows: each row lives in one Python int, and a
+dictionary maps each leading position to a pivot row, the skeleton of
+:func:`fflab.gf2._reduce`.  A column is a *lane* of w bits instead of a
+single bit, and the XOR row operation becomes a lane-wise multiply-add
+followed by a lane-wise reduction mod p (see :class:`_Lanes`).  The null
+space carries the transform in n_rows identity lanes below the matrix
+lanes.  Python ints never overflow, so the engine is exact for every
+prime.
 """
 from __future__ import annotations
 

@@ -77,9 +77,9 @@ def run_trial(cfg: ModelConfig, trial: int, omega: int | None = None,
     else:
         try:
             rep = analyze_matrix(m, omega=omega, window_a=window_a, guard=guard)
-        except GuardExceeded:
-            rank, basis = gf2_rank_nullspace(m)
-            found = {"rank": rank, "corank": basis.dimension, "guard_exceeded": True}
+        except GuardExceeded as e:
+            found = {"rank": m.n_rows - e.dimension, "corank": e.dimension,
+                     "guard_exceeded": True}
         else:
             found = {"rank": rep.rank, "corank": rep.d, "sigma": rep.sigma,
                      "lam": rep.lam, "weights": rep.weights,

@@ -213,17 +213,19 @@ class MatrixParseError(ValueError):
 
 
 def serialize_matrix(m: BitMatrix | PrimeFieldMatrix) -> str:
-    lines = []
     if isinstance(m, BitMatrix):
-        lines.append(f"gf2 {m.n_rows} {m.n_cols}")
-        dense = m.to_dense()
+        head = f"gf2 {m.n_rows} {m.n_cols}"
+        rows, cols = m.nonzero()
+        vals = np.ones(rows.size, dtype=np.int64)
     else:
-        lines.append(f"gfp {m.p} {m.n_rows} {m.n_cols}")
-        dense = m.entries
-    for j in range(m.n_cols):
-        rows = np.nonzero(dense[:, j])[0]
-        lines.append(" ".join(f"{int(rr)}:{int(dense[rr, j])}" for rr in rows))
-    return "\n".join(lines) + "\n"
+        head = f"gfp {m.p} {m.n_rows} {m.n_cols}"
+        rows, cols = np.nonzero(m.entries)
+        vals = m.entries[rows, cols]
+    order = np.lexsort((rows, cols))
+    text: list[list[str]] = [[] for _ in range(m.n_cols)]
+    for rr, j, v in zip(rows[order].tolist(), cols[order].tolist(), vals[order].tolist()):
+        text[j].append(f"{rr}:{v}")
+    return "\n".join([head, *(" ".join(t) for t in text)]) + "\n"
 
 
 def parse_matrix(text: str) -> BitMatrix | PrimeFieldMatrix:

@@ -74,6 +74,36 @@ def rank_modp_dense(dense: np.ndarray, p: int) -> int:
     return r
 
 
+def left_nullspace_canonical_dense(dense: np.ndarray) -> tuple[list[int], list[int]]:
+    """The canonical left null space basis of a dense 0/1 matrix, mod 2.
+
+    Rows are reduced in order against an echelon basis of the
+    independent rows before them, with each row's combination of
+    original rows carried along.  Returns D, the ascending list of rows
+    i that lie in the span of rows < i, and, for each i in D, the unique
+    null vector whose support meets D only at i, as an int with bit k
+    selecting row k.
+    """
+    a = np.asarray(dense, dtype=np.int64) % 2
+    m = a.shape[0]
+    echelon = []  # (reduced row, combination of original rows, pivot column)
+    deps, vectors = [], []
+    for i in range(m):
+        row = a[i].copy()
+        comb = np.zeros(m, dtype=np.int64)
+        comb[i] = 1
+        for b, b_comb, c in echelon:
+            if row[c]:
+                row = (row + b) % 2
+                comb = (comb + b_comb) % 2
+        if row.any():
+            echelon.append((row, comb, int(np.flatnonzero(row)[0])))
+        else:
+            deps.append(i)
+            vectors.append(sum(1 << int(k) for k in np.flatnonzero(comb)))
+    return deps, vectors
+
+
 def left_nullity_dense(dense: np.ndarray, p: int = 2) -> int:
     """dim{x : xA = 0 mod p}, via rank of the transpose."""
     a = np.asarray(dense, dtype=np.int64).T

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -12,7 +14,8 @@ from fflab.gf2 import (
     gf2_vecmat,
     indices_to_bits,
 )
-from oracles import rank_mod2_dense
+from fflab.models import ModelConfig, sample_gf2
+from oracles import left_nullspace_canonical_dense, rank_mod2_dense
 
 
 def random_dense(rng, n_rows, n_cols):
@@ -113,6 +116,71 @@ def test_dense_roundtrip(seed, n_rows, n_cols):
     assert m == BitMatrix.from_entries(n_rows, n_cols, rows[order], cols[order])
     assert m == BitMatrix.from_columns(n_rows, [np.nonzero(dense[:, j])[0].tolist()
                                                 for j in range(n_cols)])
+
+
+def assert_canonical_basis(m, dense):
+    """gf2_rank_nullspace gives the oracle's basis exactly, order included."""
+    deps, vectors = left_nullspace_canonical_dense(dense)
+    rank, basis = gf2_rank_nullspace(m)
+    assert rank == m.n_rows - len(deps)
+    assert basis.vectors == tuple(vectors)
+
+
+@given(st.integers(0, 2**31 - 1), st.integers(1, 40), st.integers(1, 40),
+       st.floats(0.05, 0.7), st.integers(0, 3))
+def test_basis_equals_oracle_on_dense(seed, n_rows, n_cols, density, damage):
+    rng = np.random.default_rng(seed)
+    dense = (rng.random((n_rows, n_cols)) < density).astype(np.uint8)
+    if damage & 1:  # zero rows and columns
+        dense[rng.integers(0, n_rows, size=n_rows // 4)] = 0
+        dense[:, rng.integers(0, n_cols, size=n_cols // 4)] = 0
+    if damage & 2:  # repeated rows
+        dense[rng.integers(0, n_rows, size=n_rows // 3)] = dense[rng.integers(0, n_rows)]
+    assert_canonical_basis(BitMatrix.from_dense(dense), dense)
+    # a matrix built from raw words: the engine derives its entries itself
+    assert_canonical_basis(BitMatrix(n_rows, n_cols, packbits_words(dense)), dense)
+
+
+@given(st.integers(0, 2**31 - 1), st.integers(1, 30), st.integers(1, 30), st.integers(0, 200))
+def test_basis_equals_oracle_with_cancelling_entries(seed, n_rows, n_cols, n_entries):
+    rng = np.random.default_rng(seed)
+    rows = rng.integers(0, n_rows, size=n_entries)
+    cols = rng.integers(0, n_cols, size=n_entries)
+    dense = np.zeros((n_rows, n_cols), dtype=np.int64)
+    np.add.at(dense, (rows, cols), 1)
+    assert_canonical_basis(BitMatrix.from_entries(n_rows, n_cols, rows, cols), dense % 2)
+
+
+@pytest.mark.parametrize("replacement", ["with", "without"])
+@pytest.mark.parametrize("r,s", [(1, 2), (1, 3), (2, 2), (2, 3)])
+def test_basis_equals_oracle_on_sampled_families(r, s, replacement):
+    for n in (3, 64, 65, 300):
+        cfg = ModelConfig(n=n, r=r, s=s, replacement=replacement, master_seed=n)
+        for trial in range(4 if n < 300 else 2):
+            m = sample_gf2(cfg, trial).matrix
+            assert_canonical_basis(m, m.to_dense())
+
+
+def test_elimination_allocates_no_dense_array():
+    m = sample_gf2(ModelConfig(n=4000, master_seed=4000), 0).matrix
+    tracemalloc.start()
+    try:
+        gf2_rank_nullspace(m)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20  # a dense n x n uint8 temporary alone is 16 MB
+
+
+def test_nonzero_lists_the_set_bits():
+    rng = np.random.default_rng(11)
+    for n_rows, n_cols in ((1, 1), (3, 64), (5, 65), (40, 200)):
+        dense = (rng.random((n_rows, n_cols)) < 0.3).astype(np.uint8)
+        dense[0, -1] = 1
+        rows, cols = BitMatrix.from_dense(dense).nonzero()
+        assert sorted(zip(rows.tolist(), cols.tolist())) == list(zip(*map(list, np.nonzero(dense))))
+    rows, cols = BitMatrix.zeros(2, 3).nonzero()
+    assert rows.size == cols.size == 0
 
 
 def test_from_columns_xor_cancellation():

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from fflab import theory
+from fflab import analyzer, harness, theory
 from fflab.harness import (
     AuditResult,
     CampaignSummary,
@@ -25,7 +25,7 @@ from fflab.harness import (
     write_records_jsonl,
 )
 from fflab.gf2 import gf2_rank_nullspace
-from fflab.models import ModelConfig, sample
+from fflab.models import ModelConfig, sample, sample_gf2
 
 
 def small_campaign(**kw):
@@ -67,6 +67,22 @@ class TestDeterminism:
         assert (hashlib.sha256(text.encode()).hexdigest()
                 == "d9abc9958395f1d9fe2eafb6544cc5b090c090c9eef206a4fd6f39f2fb3d9b39")
 
+    def test_nullspace_bases_pinned(self):
+        # every basis vector of 600 sampled matrices, as the row-form
+        # engine (transform carried below each row) gave them
+        h = hashlib.sha256()
+        for n in (500, 2000):
+            for replacement in ("with", "without"):
+                for r, s in ((1, 3), (2, 2), (2, 3)):
+                    cfg = ModelConfig(n=n, r=r, s=s, replacement=replacement,
+                                      master_seed=20260809)
+                    for trial in range(50):
+                        rank, basis = gf2_rank_nullspace(sample_gf2(cfg, trial).matrix)
+                        vectors = " ".join(map(hex, basis.vectors))
+                        h.update(f"{cfg.tag()} {trial} {rank} {vectors}\n".encode())
+        assert (h.hexdigest()
+                == "0faa98200ab20ff32061dab036767cf54ea97abd79d57cf5930595951b0247a8")
+
 
 class TestGuardHit:
     def test_guard_hit_record(self):
@@ -80,6 +96,24 @@ class TestGuardHit:
         summary = summarize([rec, run_trial(cfg, trial)], cfg.master_seed)
         assert summary.guard_hits == 1
         assert summary.corank_hist == {rec.corank: 2}
+
+    def test_guard_hit_eliminates_once(self, monkeypatch):
+        cfg = ModelConfig(n=150, master_seed=20260809)
+        trial = next(t for t in range(100) if run_trial(cfg, t).corank >= 1)
+        expect = run_trial(cfg, trial, guard=0)
+        calls = []
+
+        def counted(m):
+            calls.append(m)
+            return gf2_rank_nullspace(m)
+
+        monkeypatch.setattr(analyzer, "gf2_rank_nullspace", counted)
+        monkeypatch.setattr(harness, "gf2_rank_nullspace", counted)
+        rec = run_trial(cfg, trial, guard=0)
+        assert len(calls) == 1
+        assert rec.to_json_line() == expect.to_json_line()
+        assert rec.guard_exceeded and rec.sigma is None
+        assert rec.corank == rec.n - rec.rank >= 1
 
 
 class TestSummaries:

@@ -218,6 +218,15 @@ class TestGftSampler:
             assert np.array_equal(a.entries, b.to_dense())
 
 
+def sparse_gf2_fixture(n: int) -> str:
+    """Text of an n x n GF(2) matrix with two ones per column."""
+    rng = np.random.default_rng(n)
+    a = rng.integers(0, n, size=n)
+    b = (a + rng.integers(1, n, size=n)) % n
+    lines = [f"gf2 {n} {n}"] + [f"{min(x, y)}:1 {max(x, y)}:1" for x, y in zip(a, b)]
+    return "\n".join(lines) + "\n"
+
+
 class TestSerialization:
     @given(st.integers(0, 2**31 - 1), st.integers(1, 20), st.integers(1, 20))
     def test_gf2_roundtrip(self, seed, n_rows, n_cols):
@@ -236,13 +245,15 @@ class TestSerialization:
         m = sample(cfg, 3).matrix
         assert parse_matrix(serialize_matrix(m)) == m
 
+    def test_serialized_text(self):
+        m = BitMatrix.from_columns(4, [[3, 0], [], [2, 2], [1], [2, 1, 3]])
+        assert serialize_matrix(m) == "gf2 4 5\n0:1 3:1\n\n\n1:1\n1:1 2:1 3:1\n"
+        g = PrimeFieldMatrix.from_dense(np.array([[0, 4], [2, 0], [1, 3]]), 5)
+        assert serialize_matrix(g) == "gfp 5 3 2\n1:2 2:1\n0:4 2:3\n"
+
     def test_gf2_parse_allocates_no_dense_array(self):
         n = 3000
-        rng = np.random.default_rng(3000)
-        a = rng.integers(0, n, size=n)
-        b = (a + rng.integers(1, n, size=n)) % n
-        lines = [f"gf2 {n} {n}"] + [f"{min(x, y)}:1 {max(x, y)}:1" for x, y in zip(a, b)]
-        text = "\n".join(lines) + "\n"
+        text = sparse_gf2_fixture(n)
         tracemalloc.start()
         try:
             m = parse_matrix(text)
@@ -251,6 +262,18 @@ class TestSerialization:
             tracemalloc.stop()
         assert int(np.bitwise_count(m.words).sum()) == 2 * n
         assert peak < 16 * 2**20  # a dense int64 n x n array alone is 72 MB
+
+    def test_gf2_serialize_allocates_no_dense_array(self):
+        text = sparse_gf2_fixture(3000)
+        m = parse_matrix(text)
+        tracemalloc.start()
+        try:
+            out = serialize_matrix(m)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert out == text
+        assert peak < 2 * 2**20  # a dense uint8 n x n array alone is 8.6 MB
 
     def test_parse_errors_carry_line_and_column(self):
         with pytest.raises(MatrixParseError) as e:

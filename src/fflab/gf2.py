@@ -194,7 +194,7 @@ def _reduce(rows: Iterable[int], stop: int) -> Iterator[int]:
     pivot.  Yields the reduced rows, in row order, as they are reduced,
     so a caller may stop early."""
     pivots: dict[int, int] = {}
-    get = pivots.get
+    get = pivots.get  # bound once: this loop is the engine's hot path
     for v in rows:
         lead = v.bit_length() - 1
         while lead >= stop:

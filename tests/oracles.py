@@ -104,6 +104,40 @@ def left_nullspace_canonical_dense(dense: np.ndarray) -> tuple[list[int], list[i
     return deps, vectors
 
 
+def left_nullspace_canonical_modp_dense(dense: np.ndarray, p: int) -> tuple[list[int], list[list[int]]]:
+    """The canonical left null space basis of a dense matrix, mod p.
+
+    The GF(p) analogue of :func:`left_nullspace_canonical_dense`, on
+    Python ints throughout.  Rows are reduced in order against monic
+    echelon rows of the independent rows before them, each carrying its
+    combination of original rows.  Returns D, the ascending list of rows
+    i that lie in the span of rows < i, and, for each i in D, the unique
+    null vector with coefficient 1 at i and 0 at every other row of D, as
+    a list of residues indexed by row.
+    """
+    a = [[int(x) % p for x in row] for row in np.asarray(dense).tolist()]
+    m = len(a)
+    echelon = []  # (reduced row, combination of original rows, pivot column)
+    deps, vectors = [], []
+    for i in range(m):
+        row = list(a[i])
+        comb = [0] * m
+        comb[i] = 1
+        for b, b_comb, c in echelon:
+            f = row[c]
+            if f:
+                row = [(x - f * y) % p for x, y in zip(row, b)]
+                comb = [(x - f * y) % p for x, y in zip(comb, b_comb)]
+        lead = next((c for c, x in enumerate(row) if x), None)
+        if lead is None:
+            deps.append(i)
+            vectors.append(comb)
+        else:
+            inv = pow(row[lead], -1, p)
+            echelon.append(([x * inv % p for x in row], [x * inv % p for x in comb], lead))
+    return deps, vectors
+
+
 def left_nullity_dense(dense: np.ndarray, p: int = 2) -> int:
     """dim{x : xA = 0 mod p}, via rank of the transpose."""
     a = np.asarray(dense, dtype=np.int64).T

@@ -126,6 +126,17 @@ class TestAnalyzeCommand:
         out = capsys.readouterr().out
         assert "gfp p=3" in out
 
+    def test_gfp_fixture_output_pinned(self, tmp_path, capsys):
+        cfg = ModelConfig(n=20, field="gfp", p=3, gft_model=1, master_seed=2)
+        path = tmp_path / "m3.mat"
+        path.write_text(serialize_matrix(sample(cfg, 4).matrix))
+        out = tmp_path / "rep.json"
+        assert run_cli("analyze", "--matrix", str(path), "--out", str(out)) == 0
+        assert capsys.readouterr().out == ("gfp p=3 n_rows=20 n_cols=20\n"
+                                           "rank=18 corank=2\n"
+                                           f"wrote {out}\n")
+        assert out.read_text() == '{\n "p": 3,\n "rank": 18,\n "corank": 2\n}'
+
     def test_requires_input(self, capsys):
         assert run_cli("analyze") == 2
 

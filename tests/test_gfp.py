@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import time
 from fractions import Fraction
@@ -16,7 +17,11 @@ from fflab.gfp import (
     is_prime,
 )
 from fflab.models import ModelConfig, sample_gft
-from oracles import is_prime_trial_division, rank_modp_dense
+from oracles import (
+    is_prime_trial_division,
+    left_nullspace_canonical_modp_dense,
+    rank_modp_dense,
+)
 
 CARMICHAEL = [561, 1105, 1729, 2465, 2821, 6601, 8911, 10585, 15841, 29341,
               41041, 46657, 52633, 62745, 63973, 75361, 101101, 115921,
@@ -81,16 +86,27 @@ def test_rank_matches_naive_reference_gf5():
         assert rank + len(basis) == 32
 
 
-@given(st.integers(0, 2**31 - 1), st.sampled_from([2, 3, 5, 7, 13, 101, BIG_P]),
-       st.integers(1, 24), st.integers(1, 24), st.sampled_from([0.1, 0.5, 1.0]),
-       st.integers(0, 3))
-def test_nullspace_contract(seed, p, n_rows, n_cols, density, n_deps):
-    """Sparse, dense, wide and tall matrices, some with planted dependencies."""
+# sparse, dense, wide and tall matrices, some with planted dependencies
+planted_matrices = given(
+    st.integers(0, 2**31 - 1), st.sampled_from([2, 3, 5, 7, 13, 101, BIG_P]),
+    st.integers(1, 24), st.integers(1, 24), st.sampled_from([0.1, 0.5, 1.0]),
+    st.integers(0, 3))
+
+
+def planted_dense(seed, p, n_rows, n_cols, density, n_deps):
+    """A residue matrix (object dtype) whose last n_deps rows are random
+    combinations of the rows above them."""
     rng = np.random.default_rng(seed)
     dense = rng.integers(0, p, size=(n_rows, n_cols)).astype(object)
     dense[rng.random((n_rows, n_cols)) >= density] = 0
     for i in range(max(1, n_rows - n_deps), n_rows):
         dense[i] = (rng.integers(0, p, size=i).astype(object) @ dense[:i]) % p
+    return dense
+
+
+@planted_matrices
+def test_nullspace_contract(seed, p, n_rows, n_cols, density, n_deps):
+    dense = planted_dense(seed, p, n_rows, n_cols, density, n_deps)
     m = PrimeFieldMatrix.from_dense(dense.astype(np.int64), p)
     rank, basis = gfp_rank_nullspace(m)
     assert rank + len(basis) == n_rows
@@ -101,6 +117,32 @@ def test_nullspace_contract(seed, p, n_rows, n_cols, density, n_deps):
     if basis:
         stacked = np.stack(basis)
         assert rank_modp_dense(stacked, p) == len(basis)
+
+
+@planted_matrices
+def test_basis_equals_canonical_oracle(seed, p, n_rows, n_cols, density, n_deps):
+    """The basis is the canonical one, order included: for each row i in
+    the span of the rows above it, coefficient 1 at i and 0 at every
+    other such row."""
+    dense = planted_dense(seed, p, n_rows, n_cols, density, n_deps)
+    deps, vectors = left_nullspace_canonical_modp_dense(dense, p)
+    rank, basis = gfp_rank_nullspace(PrimeFieldMatrix.from_dense(dense.astype(np.int64), p))
+    assert rank == n_rows - len(deps)
+    assert [x.tolist() for x in basis] == vectors
+
+
+def test_sampled_bases_pinned():
+    # every basis vector of 180 sampled matrices, as the row-form engine
+    # (transform carried in identity lanes below each row) gave them
+    h = hashlib.sha256()
+    for n in (200, 500):
+        for model, p in ((1, 3), (2, 5), (3, 7)):
+            cfg = ModelConfig(n=n, field="gfp", p=p, gft_model=model, master_seed=20260809)
+            for trial in range(30):
+                rank, basis = gfp_rank_nullspace(sample_gft(cfg, trial).matrix)
+                vectors = " ".join(",".join(map(str, x.tolist())) for x in basis)
+                h.update(f"{cfg.tag()} {trial} {rank} {vectors}\n".encode())
+    assert h.hexdigest() == "12da82b74b422b89c61ea3d4f0f95e0964bd60a5d4a9227e1b9f1b432a19d176"
 
 
 def test_gf3_model1_all_ones_annihilates():

@@ -15,7 +15,7 @@ import sys
 from . import theory
 from .analyzer import analyze_matrix, default_omega
 from .gf2 import BitMatrix
-from .gfp import PrimeFieldMatrix, gfp_rank_nullspace
+from .gfp import PrimeFieldMatrix, gfp_rank
 from .harness import (
     AUDIT_FAMILIES,
     audit_config,
@@ -227,7 +227,7 @@ def cmd_analyze(args) -> int:
             return 2
         m = sample(cfg, args.trial).matrix
     if isinstance(m, PrimeFieldMatrix):
-        rank, basis = gfp_rank_nullspace(m)
+        rank = gfp_rank(m)
         print(f"gfp p={m.p} n_rows={m.n_rows} n_cols={m.n_cols}")
         print(f"rank={rank} corank={m.n_rows - rank}")
         out = {"p": m.p, "rank": rank, "corank": m.n_rows - rank}

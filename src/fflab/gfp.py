@@ -4,18 +4,23 @@ Same contract as the GF(2) side: row rank plus a basis of the *left*
 null space {x : xM = 0 mod p}.  Entries are int64 residues in [0, p).
 Prime moduli only; extension fields are out of scope.
 
-Elimination works on the rows: each row lives in one Python int, and a
-dictionary maps each leading position to a pivot row, the skeleton of
-:func:`fflab.gf2._reduce`.  A column is a *lane* of w bits instead of a
-single bit, and the XOR row operation becomes a lane-wise multiply-add
-followed by a lane-wise reduction mod p (see :class:`_Lanes`).  The null
-space carries the transform in n_rows identity lanes below the matrix
-lanes.  Python ints never overflow, so the engine is exact for every
-prime.
+Elimination runs as in :func:`fflab.gf2.gf2_rank_nullspace`: on the
+columns, which are sparse, with no transform carried.  Rows are
+relabelled by degree, descending, so the lowest-degree rows lead the
+pivots; each column is one Python int over those labels, built straight
+from the matrix entries, and a dictionary maps each leading position to
+a monic pivot column.  A label is a *lane* of w bits instead of a single
+bit, and the XOR of GF(2) becomes a lane-wise multiply-add followed by a
+lane-wise reduction mod p (see :class:`_Lanes`).  The null space comes
+from back-substitution over the pivots, then a Gauss-Jordan pass keyed
+by the top row index makes it canonical.  Python ints never overflow, so
+the engine is exact for every prime.
 """
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass, field
+from typing import Iterable
 
 import numpy as np
 
@@ -62,6 +67,10 @@ class PrimeFieldMatrix:
     n_rows: int
     n_cols: int
     entries: np.ndarray = field(repr=False)
+    # (rows, cols, vals) of the nonzero entries, as given to from_entries;
+    # None for a matrix built from a dense array alone
+    _entries: tuple[np.ndarray, np.ndarray, np.ndarray] | None = field(
+        default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.p >= 2**63:
@@ -82,13 +91,45 @@ class PrimeFieldMatrix:
         return cls(p, n_rows, n_cols, np.zeros((n_rows, n_cols), dtype=np.int64))
 
     @classmethod
+    def from_entries(cls, p: int, n_rows: int, n_cols: int, rows, cols, vals) -> "PrimeFieldMatrix":
+        """Set entry (rows[k], cols[k]) to the residue vals[k] for every k.
+        rows, cols and vals are arrays of any shapes that broadcast
+        together; a position may be given at most once.  The matrix keeps
+        a flat copy of the nonzero entries for the elimination engine."""
+        rows, cols, vals = (a.flatten() for a in np.broadcast_arrays(
+            np.asarray(rows, dtype=np.intp), np.asarray(cols, dtype=np.intp),
+            np.asarray(vals, dtype=np.int64)))
+        if rows.size and (min(rows.min(), cols.min()) < 0
+                          or rows.max() >= n_rows or cols.max() >= n_cols):
+            raise ValueError("entry index out of range")
+        at = np.sort(rows * n_cols + cols)
+        if (at[1:] == at[:-1]).any():
+            raise ValueError("repeated entry position")
+        entries = np.zeros((n_rows, n_cols), dtype=np.int64)
+        entries[rows, cols] = vals
+        m = cls(p, n_rows, n_cols, entries)
+        keep = vals != 0
+        m._entries = (rows[keep], cols[keep], vals[keep])
+        return m
+
+    @classmethod
     def identity(cls, p: int, n: int) -> "PrimeFieldMatrix":
-        return cls(p, n, n, np.eye(n, dtype=np.int64))
+        idx = np.arange(n)
+        return cls.from_entries(p, n, n, idx, idx, 1)
 
     @classmethod
     def from_dense(cls, dense: np.ndarray, p: int) -> "PrimeFieldMatrix":
         a = np.asarray(dense, dtype=np.int64) % p
-        return cls(p, a.shape[0], a.shape[1], a)
+        rows, cols = np.nonzero(a)
+        return cls.from_entries(p, *a.shape, rows, cols, a[rows, cols])
+
+    def nonzero(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(rows, cols, vals) of the nonzero entries: the ones kept by
+        from_entries, else read from the dense array."""
+        if self._entries is not None:
+            return self._entries
+        rows, cols = np.nonzero(self.entries)
+        return rows, cols, self.entries[rows, cols]
 
     def __eq__(self, other: object) -> bool:
         return (isinstance(other, PrimeFieldMatrix)
@@ -101,18 +142,22 @@ class PrimeFieldMatrix:
 def gfp_vecmat(x: np.ndarray, m: PrimeFieldMatrix) -> np.ndarray:
     """x M mod p for a length-n_rows residue vector x.
 
-    Sums in Python ints: int64 dot products overflow once p^2 > 2^63.
+    Sums over the nonzero entries in Python ints, so it is exact for
+    every prime (int64 products overflow once p^2 > 2^63).
     """
-    exact = np.asarray(x, dtype=np.int64).astype(object) @ m.entries.astype(object)
-    return (exact % m.p).astype(np.int64)
+    xs = np.asarray(x, dtype=np.int64).tolist()
+    acc = [0] * m.n_cols
+    for r, c, v in zip(*(a.tolist() for a in m.nonzero())):
+        acc[c] += xs[r] * v
+    return np.array([a % m.p for a in acc], dtype=np.int64)
 
 
 class _Lanes:
-    """Lane layout and lane-wise reduction mod p for packed rows.
+    """Lane layout and lane-wise reduction mod p for packed vectors.
 
-    Lane c of a row int holds bits [c*w, (c+1)*w).  A row operation
-    y = v + (p - f) * pivot on rows with lanes in [0, p) leaves every lane
-    below p + (p-1)^2 < p^2 without carries, and
+    Lane c of a vector int holds bits [c*w, (c+1)*w).  A step
+    y = v + (p - f) * pivot on vectors with lanes in [0, p) leaves every
+    lane below p + (p-1)^2 < p^2 without carries, and
     ``y - (((y * m) >> k) & qmask) * p`` takes every lane to its residue
     at once.  Here k is the bit length of p^3, m = ceil(2^k / p) and qmask
     keeps the low bit_length(p - 1) bits of every lane.
@@ -135,6 +180,7 @@ class _Lanes:
 
     def __init__(self, p: int, n_lanes: int) -> None:
         self.p = p
+        self.n_lanes = n_lanes
         self.k = (p ** 3).bit_length()
         self.m = -(-(1 << self.k) // p)
         qbits = (p - 1).bit_length()
@@ -144,69 +190,130 @@ class _Lanes:
         ones = ((1 << (self.w * n_lanes)) - 1) // ((1 << self.w) - 1)  # bit 0 of every lane
         self.qmask = ((1 << qbits) - 1) * ones
 
-    def pack(self, entries: np.ndarray) -> list[int]:
-        """One int per row of a residue matrix, column c in lane c."""
-        nr, nc = entries.shape
-        lanes = np.zeros((nr, nc, max(1, self.w // 64)), dtype=self.dtype)
-        lanes[:, :, 0] = entries
-        buf = lanes.tobytes()
-        stride = nc * self.w // 8
-        return [int.from_bytes(buf[i * stride:(i + 1) * stride], "little")
-                for i in range(nr)]
+    def pack(self, n_vectors: int, index, lane, vals) -> list[int]:
+        """n_vectors ints with vals[k] in lane lane[k] of int index[k];
+        each position at most once, every value below 2^w."""
+        out = [0] * n_vectors
+        w = self.w
+        for i, c, v in zip(index.tolist(), lane.tolist(), vals.tolist()):
+            out[i] |= v << (c * w)
+        return out
 
     def unpack(self, v: int, n_lanes: int) -> np.ndarray:
         """Lanes 0 .. n_lanes-1 of v as an int64 residue vector."""
-        low = v & ((1 << (self.w * n_lanes)) - 1)
-        lanes = np.frombuffer(low.to_bytes(n_lanes * self.w // 8, "little"), dtype=self.dtype)
+        lanes = np.frombuffer(v.to_bytes(n_lanes * self.w // 8, "little"), dtype=self.dtype)
         return lanes.reshape(n_lanes, -1)[:, 0].astype(np.int64)
 
 
-def _eliminate(rows: list[int], lanes: _Lanes, stop: int) -> tuple[int, list[int]]:
-    """Reduce rows against monic pivots keyed by leading lane.
-
-    A row whose leading lane falls below ``stop`` (or that cancels to
-    zero) depends on earlier rows and is returned as it stands.  Returns
-    the number of pivots and the dependent rows, in row order.
-    """
+def _eliminate(vectors: Iterable[int], lanes: _Lanes) -> dict[int, int]:
+    """Reduce each vector against the monic pivots of the vectors before
+    it, keyed by leading lane; a vector that does not cancel to zero
+    becomes a monic pivot.  Stops once the pivots span every lane, as
+    any further vector then cancels.  Returns the pivots."""
     p, w, m, k, qmask = lanes.p, lanes.w, lanes.m, lanes.k, lanes.qmask
     pivots: dict[int, int] = {}
-    deps: list[int] = []
-    for v in rows:
-        while True:
+    get = pivots.get  # bound once: this loop is the engine's hot path
+    for v in vectors:
+        while v:
             lead = (v.bit_length() - 1) // w
-            if lead < stop:
-                deps.append(v)
-                break
             f = v >> (lead * w)  # the leading lane is the top of v
-            hit = pivots.get(lead)
+            hit = get(lead)
             if hit is None:
-                y = v * pow(f, -1, p)
-                pivots[lead] = y - (((y * m) >> k) & qmask) * p
+                if f != 1:  # most new pivots are fresh columns, already monic
+                    y = v * pow(f, -1, p)
+                    v = y - (((y * m) >> k) & qmask) * p
+                pivots[lead] = v
                 break
             y = v + (p - f) * hit
             v = y - (((y * m) >> k) & qmask) * p
-    return len(pivots), deps
+        if len(pivots) == lanes.n_lanes:
+            break
+    return pivots
+
+
+def _column_pivots(m: PrimeFieldMatrix) -> tuple[dict[int, int], np.ndarray, _Lanes]:
+    """Eliminate the columns of m over rows relabelled by degree,
+    descending (stable), so the lowest-degree rows hold the highest
+    lanes and lead.  Returns the pivots, ``order`` (order[label] is the
+    original row) and the lane layout."""
+    nr = m.n_rows
+    rows, cols, vals = m.nonzero()
+    order = np.argsort(-np.bincount(rows, minlength=nr), kind="stable")
+    label = np.empty(nr, dtype=np.intp)
+    label[order] = np.arange(nr)
+    lanes = _Lanes(m.p, nr)
+    return _eliminate(lanes.pack(m.n_cols, cols, label[rows], vals), lanes), order, lanes
 
 
 def gfp_rank(m: PrimeFieldMatrix) -> int:
-    """Row rank over GF(p), no transform carried (fast path for audits)."""
-    lanes = _Lanes(m.p, m.n_cols)
-    return _eliminate(lanes.pack(m.entries), lanes, 0)[0]
+    """Row rank over GF(p): the number of pivot columns."""
+    return len(_column_pivots(m)[0])
 
 
 def gfp_rank_nullspace(m: PrimeFieldMatrix) -> tuple[int, list[np.ndarray]]:
     """Rank and left-null-space basis over GF(p).
 
-    Row i carries the matrix row in the upper n_cols lanes and the unit
-    vector e_i in the lower n_rows lanes, which accumulate the transform.
-    A row whose leading lane falls into the lower part has a zero matrix
-    part, and its lower lanes are a dependency.  Each basis vector x
-    satisfies x M = 0 (mod p), and rank + len(basis) == n_rows.
+    Column form, as :func:`gfp_rank`: the pivots are monic at their lead
+    lane q and zero above it.  A label j that leads no pivot is free; its
+    null vector x has x_j = 1, 0 at every other free label and below j,
+    and, for each pivot lead q > j in ascending order,
+    x_q = -sum_{l<q} x_l * pivot_q[l], which makes x orthogonal to every
+    pivot and so to every column.  The vectors are mapped back to the
+    original rows and put in reduced echelon form keyed by the top row
+    index, monic at the top.
+
+    That form does not depend on the engine: with D the set of rows i
+    that lie in the span of the rows below i, the basis vector for i in
+    D is the unique null vector with coefficient 1 at i and 0 at every
+    other row of D, and the vectors come in ascending order of i.
+
+    Each basis vector x satisfies x M = 0 (mod p), and
+    rank + len(basis) == n_rows.
     """
-    nr = m.n_rows
-    lanes = _Lanes(m.p, nr + m.n_cols)
-    shift = nr * lanes.w
-    rows = [(v << shift) | (1 << (i * lanes.w))
-            for i, v in enumerate(lanes.pack(m.entries))]
-    rank, deps = _eliminate(rows, lanes, nr)
-    return rank, [lanes.unpack(v, nr) for v in deps]
+    nr, p = m.n_rows, m.p
+    pivots, order, lanes = _column_pivots(m)
+    free = sorted(set(range(nr)).difference(pivots))
+    if not free:
+        return len(pivots), []
+    # the lanes below the lead of each pivot above the lowest free label,
+    # read from one buffer (no larger than the pivots) as (lane, value)
+    # runs, one run per pivot
+    w = lanes.w
+    leads = sorted(pivots)
+    above = leads[bisect_right(leads, free[0]):]
+    buf = b"".join((pivots[q] ^ (1 << q * w)).to_bytes(q * w // 8, "little") for q in above)
+    low = np.frombuffer(buf, dtype=lanes.dtype)[::max(1, w // 64)]
+    nz = np.flatnonzero(low)
+    starts = np.cumsum([0] + above)
+    cut = np.searchsorted(nz, starts).tolist()
+    ls = (nz - np.repeat(starts[:-1], np.diff(cut))).tolist()
+    cs = low[nz].tolist()
+    vectors = []
+    for j in free:
+        x = [0] * nr
+        x[j] = 1
+        for q, a, b in zip(above, cut, cut[1:]):
+            if q > j:
+                x[q] = -sum(x[l] * c for l, c in zip(ls[a:b], cs[a:b])) % p
+        x = np.array(x, dtype=np.int64)
+        support = np.flatnonzero(x)  # labels; order[support] are the original rows
+        vectors += lanes.pack(1, np.zeros_like(support), order[support], x[support])
+    return len(pivots), [lanes.unpack(v, nr) for v in _canonical(vectors, lanes)]
+
+
+def _canonical(vectors: list[int], lanes: _Lanes) -> list[int]:
+    """Reduced echelon form keyed by top lane, in ascending order, of a
+    list of independent lane vectors: each vector is monic at its own
+    top lane and zero at every other vector's."""
+    p, w, m, k, qmask = lanes.p, lanes.w, lanes.m, lanes.k, lanes.qmask
+    pivots = _eliminate(vectors, lanes)
+    tops = sorted(pivots)
+    out = [pivots[t] for t in tops]
+    lane_mask = (1 << w) - 1
+    for a, top in enumerate(tops):
+        for b in range(a + 1, len(out)):
+            f = (out[b] >> (top * w)) & lane_mask
+            if f:
+                y = out[b] + (p - f) * out[a]
+                out[b] = y - (((y * m) >> k) & qmask) * p
+    return out

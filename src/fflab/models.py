@@ -160,8 +160,6 @@ def sample_gft(cfg: ModelConfig, trial: int) -> SampledMatrix:
     n = cfg.n
     rng = trial_generator(cfg, trial)
     pos = _draw_positions(rng, n, 1, 3, WITHOUT)
-    entries = np.zeros((n, n), dtype=np.int64)
-    i = np.arange(n)
     f = cfg.effective_f()
     residues = np.arange(1, p)
     degenerate = p == 2  # the only nonzero residue is 1; nothing to draw
@@ -173,11 +171,9 @@ def sample_gft(cfg: ModelConfig, trial: int) -> SampledMatrix:
         dia = rng.choice(residues, size=n, p=f)
     else:
         dia = np.ones(n, dtype=np.int64)
-    # positions are distinct within a column, so plain assignment is exact
-    entries[i, i] = dia
-    entries[pos[:, 1], i] = off[:, 0]
-    entries[pos[:, 2], i] = off[:, 1]
-    return SampledMatrix(PrimeFieldMatrix(p, n, n, entries), cfg, trial)
+    vals = np.column_stack([dia, off])  # entry 0 of pos is the diagonal
+    m = PrimeFieldMatrix.from_entries(p, n, n, pos, np.arange(n)[:, None], vals)
+    return SampledMatrix(m, cfg, trial)
 
 
 def sample(cfg: ModelConfig, trial: int) -> SampledMatrix:
@@ -219,8 +215,7 @@ def serialize_matrix(m: BitMatrix | PrimeFieldMatrix) -> str:
         vals = np.ones(rows.size, dtype=np.int64)
     else:
         head = f"gfp {m.p} {m.n_rows} {m.n_cols}"
-        rows, cols = np.nonzero(m.entries)
-        vals = m.entries[rows, cols]
+        rows, cols, vals = m.nonzero()
     order = np.lexsort((rows, cols))
     text: list[list[str]] = [[] for _ in range(m.n_cols)]
     for rr, j, v in zip(rows[order].tolist(), cols[order].tolist(), vals[order].tolist()):
@@ -255,6 +250,9 @@ def parse_matrix(text: str) -> BitMatrix | PrimeFieldMatrix:
     if n_rows < 1 or n_cols < 1:
         raise MatrixParseError(1, 1, "dimensions must be >= 1")
     if head[0] == "gfp":
+        if p >= 2**63:
+            raise MatrixParseError(1, len(head[0]) + 2,
+                                   f"modulus {p} is too large: residues must fit int64")
         try:
             prime = is_prime(p)
         except ValueError as e:
@@ -289,6 +287,4 @@ def parse_matrix(text: str) -> BitMatrix | PrimeFieldMatrix:
             pos = col_at + len(tok)
     if head[0] == "gf2":
         return BitMatrix.from_entries(n_rows, n_cols, rows, cols)
-    dense = np.zeros((n_rows, n_cols), dtype=np.int64)
-    dense[rows, cols] = vals
-    return PrimeFieldMatrix.from_dense(dense, p)
+    return PrimeFieldMatrix.from_entries(p, n_rows, n_cols, rows, cols, vals)

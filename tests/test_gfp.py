@@ -1,6 +1,7 @@
 import hashlib
 import itertools
 import time
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -44,7 +45,7 @@ def test_lane_quotient_exhaustive_small_primes():
         xs = np.arange(p * p)
         assert all((x * lanes.m) >> lanes.k == x // p for x in xs.tolist())
         # the same reduction on every x at once, one x per lane
-        y = lanes.pack(xs.reshape(1, -1))[0]
+        y = lanes.pack(1, np.zeros_like(xs), xs, xs)[0]
         y -= (((y * lanes.m) >> lanes.k) & lanes.qmask) * p
         assert (lanes.unpack(y, p * p) == xs % p).all()
 
@@ -126,9 +127,12 @@ def test_basis_equals_canonical_oracle(seed, p, n_rows, n_cols, density, n_deps)
     other such row."""
     dense = planted_dense(seed, p, n_rows, n_cols, density, n_deps)
     deps, vectors = left_nullspace_canonical_modp_dense(dense, p)
-    rank, basis = gfp_rank_nullspace(PrimeFieldMatrix.from_dense(dense.astype(np.int64), p))
-    assert rank == n_rows - len(deps)
-    assert [x.tolist() for x in basis] == vectors
+    residues = dense.astype(np.int64)
+    # from kept entries, and from a dense array alone (the engine reads its nonzeros)
+    for m in (PrimeFieldMatrix.from_dense(residues, p), PrimeFieldMatrix(p, n_rows, n_cols, residues)):
+        rank, basis = gfp_rank_nullspace(m)
+        assert rank == n_rows - len(deps)
+        assert [x.tolist() for x in basis] == vectors
 
 
 def test_sampled_bases_pinned():
@@ -143,6 +147,34 @@ def test_sampled_bases_pinned():
                 vectors = " ".join(",".join(map(str, x.tolist())) for x in basis)
                 h.update(f"{cfg.tag()} {trial} {rank} {vectors}\n".encode())
     assert h.hexdigest() == "12da82b74b422b89c61ea3d4f0f95e0964bd60a5d4a9227e1b9f1b432a19d176"
+
+
+def test_from_entries():
+    dense = np.array([[0, 4], [2, 0], [1, 3]])
+    rows, cols = np.nonzero(dense)
+    m = PrimeFieldMatrix.from_entries(5, 3, 2, rows[::-1], cols[::-1], dense[rows, cols][::-1])
+    assert m == PrimeFieldMatrix.from_dense(dense, 5)
+    assert np.array_equal(m.entries, dense)
+    # index and value arrays broadcast; zero values are set but not kept
+    m = PrimeFieldMatrix.from_entries(5, 3, 2, [[0], [2]], [0, 1], [[0, 4], [1, 3]])
+    assert m.entries.tolist() == [[0, 4], [0, 0], [1, 3]]
+    assert sorted(zip(*(a.tolist() for a in m.nonzero()))) == [(0, 1, 4), (2, 0, 1), (2, 1, 3)]
+    for bad in (([0, 0], [1, 1], [1, 2]),  # a position given twice
+                ([3], [0], [1]), ([-1], [0], [1]), ([0], [2], [1]),  # out of range
+                ([0], [0], [5]), ([0], [0], [-1])):  # not a residue
+        with pytest.raises(ValueError):
+            PrimeFieldMatrix.from_entries(5, 3, 2, *bad)
+
+
+def test_rank_allocates_no_dense_lane_buffer():
+    m = sample_gft(ModelConfig(n=2000, field="gfp", p=3, gft_model=1, master_seed=2000), 0).matrix
+    tracemalloc.start()
+    try:
+        gfp_rank(m)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20  # an n x n byte-lane buffer and its bytes copy alone are 8 MB
 
 
 def test_gf3_model1_all_ones_annihilates():

@@ -301,3 +301,8 @@ class TestSerialization:
         with pytest.raises(MatrixParseError) as e:
             parse_matrix(f"gfp {huge} 1 1\n0:1\n")
         assert e.value.line == 1 and e.value.column == 5
+
+    def test_modulus_beyond_int64_is_a_parse_error(self):
+        with pytest.raises(MatrixParseError, match="fit int64") as e:
+            parse_matrix(f"gfp {2**64 + 13} 2 2\n0:1\n1:1\n")  # prime, too large
+        assert e.value.line == 1 and e.value.column == 5

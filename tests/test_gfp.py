@@ -123,8 +123,8 @@ def test_nullspace_contract(seed, p, n_rows, n_cols, density, n_deps):
 @planted_matrices
 def test_basis_equals_canonical_oracle(seed, p, n_rows, n_cols, density, n_deps):
     """The basis is the canonical one, order included: for each row i in
-    the span of the rows above it, coefficient 1 at i and 0 at every
-    other such row."""
+    the span of the rows below it (rows < i), coefficient 1 at i and 0
+    at every other such row."""
     dense = planted_dense(seed, p, n_rows, n_cols, density, n_deps)
     deps, vectors = left_nullspace_canonical_modp_dense(dense, p)
     residues = dense.astype(np.int64)

@@ -155,6 +155,10 @@ def cmd_simulate(args) -> int:
     except ValueError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
+    if args.check and (cfg.field != "gf2" or cfg.r != 1 or cfg.s != 3):
+        print("error: --check applies to the r=1, s=3 GF(2) models",
+              file=sys.stderr)
+        return 2
     records, summary = run_campaign(cfg, trials=args.trials, workers=args.workers,
                                     omega=args.omega, window_a=args.window_a,
                                     guard=args.guard)
@@ -184,10 +188,6 @@ def cmd_simulate(args) -> int:
                 json.dump(summary.to_json_dict(), f, indent=1)
         print(f"wrote {args.out}")
     if args.check:
-        if cfg.field != "gf2" or cfg.r != 1 or cfg.s != 3:
-            print("error: --check applies to the r=1, s=3 GF(2) models",
-                  file=sys.stderr)
-            return 2
         table = theory.build_table(model=cfg.replacement, d_max=args.dmax)
         fit = compare_to_theory(summary, table)
         checks = headline_checks(summary, fit, table)

@@ -239,3 +239,29 @@ def expected_deps_direct(n: int, ell: int, model: str) -> float:
     return (math.comb(n, ell)
             * (2 * (ell - 1) * (n - ell) / d) ** ell
             * ((ell * (ell - 1) + (n - 1 - ell) * (n - 2 - ell)) / d) ** (n - ell))
+
+
+def chi2_sf_closed_form(stat: float, dof: int) -> float:
+    """Chi-square upper tail for integer dof >= 1 by the textbook closed forms.
+
+    With y = stat/2: for even dof it is the Poisson sum
+    e^{-y} sum_{i < dof/2} y^i / i!; for odd dof it is erfc(sqrt(y)) plus
+    the recurrence Q(a+1, y) = Q(a, y) + y^a e^{-y} / Gamma(a+1) from a = 1/2.
+    Every term is positive, so the sums lose no precision to cancellation.
+    """
+    y = stat / 2
+    if dof % 2 == 0:
+        term = math.exp(-y)
+        total = term
+        for i in range(1, dof // 2):
+            term *= y / i
+            total += term
+        return total
+    total = math.erfc(math.sqrt(y))
+    term = 2 * math.sqrt(y / math.pi) * math.exp(-y)   # a = 1/2
+    a = 0.5
+    for _ in range(dof // 2):
+        total += term
+        a += 1
+        term *= y / a
+    return total

@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import fflab
+from fflab import cli
 from fflab.analyzer import analyze_matrix
 from fflab.cli import main
 from fflab.gf2 import BitMatrix
@@ -70,6 +75,21 @@ class TestSimulateCommand:
         code = run_cli("simulate", "--n", "50", "--s", "2", "--trials", "5",
                        "--check")
         assert code == 2
+
+    @pytest.mark.parametrize("model", [("--s", "2"),
+                                       ("--field", "gfp", "--p", "3", "--gft-model", "1")])
+    def test_check_rejects_model_before_sampling(self, model, tmp_path, monkeypatch,
+                                                 capsys):
+        def no_campaign(*args, **kwargs):
+            raise AssertionError("run_campaign called")
+
+        monkeypatch.setattr(cli, "run_campaign", no_campaign)
+        records = tmp_path / "records.jsonl"
+        code = run_cli("simulate", "--n", "50", *model, "--trials", "5",
+                       "--check", "--records", str(records))
+        assert code == 2
+        assert not records.exists()
+        assert "--check applies" in capsys.readouterr().err
 
 
 class TestAnalyzeCommand:
@@ -195,3 +215,14 @@ class TestUsageErrors:
     def test_nonpositive_tol_exits_2(self, tol, capsys):
         assert run_cli("theory", "--tol", tol) == 2
         assert "tol must be positive" in capsys.readouterr().err
+
+
+def test_cold_start_loads_no_scipy():
+    src = os.path.dirname(os.path.dirname(fflab.__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    code = ("import sys, fflab, fflab.harness, fflab.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    assert out.strip() == "[]"

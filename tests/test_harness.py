@@ -13,6 +13,7 @@ from fflab.harness import (
     PoissonFit,
     TrialRecord,
     _tv,
+    chi2_sf,
     compare_to_theory,
     headline_checks,
     poisson_fit,
@@ -26,6 +27,7 @@ from fflab.harness import (
 )
 from fflab.gf2 import gf2_rank_nullspace
 from fflab.models import ModelConfig, sample, sample_gf2
+from oracles import chi2_sf_closed_form
 
 
 def small_campaign(**kw):
@@ -182,6 +184,27 @@ class TestCompare:
         assert 0 <= fit.chi2_pvalue <= 1
         lo, hi = fit.wilson[0]
         assert lo <= fit.corank0_emp <= hi
+
+    def test_fit_pvalue_is_chi2_tail(self):
+        _, summary = small_campaign(trials=200, n=100)
+        fit = compare_to_theory(summary, theory.build_table("without", d_max=8))
+        assert fit.chi2_pvalue == chi2_sf(fit.chi2_stat, fit.chi2_dof)
+        assert fit.chi2_pvalue == pytest.approx(
+            chi2_sf_closed_form(fit.chi2_stat, fit.chi2_dof), rel=1e-12)
+
+    def test_chi2_sf_matches_closed_form(self):
+        stats = [1e-9, 1e-4, 0.01, 0.1, 0.5, 1, 2, 3.5, 5, 7, 10, 15, 20, 30,
+                 45, 60, 80, 100, 130, 160, 200]
+        for dof in range(1, 41):
+            for stat in stats:
+                want = chi2_sf_closed_form(stat, dof)
+                if want > 1e-300:
+                    assert chi2_sf(stat, dof) == pytest.approx(want, rel=1e-12), (stat, dof)
+
+    @pytest.mark.parametrize("stat,dof", [(3.841459, 1), (5.991465, 2),
+                                          (18.307038, 10)])
+    def test_chi2_sf_five_percent_critical_values(self, stat, dof):
+        assert chi2_sf(stat, dof) == pytest.approx(0.05, abs=1e-6)
 
     def test_headline_checks_shape(self):
         _, summary = small_campaign(trials=500, n=200, seed=3)

@@ -260,10 +260,7 @@ class FitReport:
 
 
 def chi2_sf(stat: float, dof: int) -> float:
-    """Chi-square upper tail P(X >= stat) with dof degrees of freedom.
-
-    This is the regularized upper incomplete gamma function Q(dof/2, stat/2).
-    """
+    """Chi-square upper tail: the regularized upper incomplete gamma Q(dof/2, stat/2)."""
     return float(mpmath.gammainc(dof / 2, stat / 2, mpmath.inf, regularized=True))
 
 

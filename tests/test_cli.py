@@ -71,25 +71,18 @@ class TestSimulateCommand:
         assert summary["master_seed"] == 42
         assert "seed=42" in capsys.readouterr().out
 
-    def test_check_requires_comparable_model(self, capsys):
-        code = run_cli("simulate", "--n", "50", "--s", "2", "--trials", "5",
-                       "--check")
-        assert code == 2
-
-    @pytest.mark.parametrize("model", [("--s", "2"),
-                                       ("--field", "gfp", "--p", "3", "--gft-model", "1")])
-    def test_check_rejects_model_before_sampling(self, model, tmp_path, monkeypatch,
-                                                 capsys):
+    def test_check_requires_comparable_model(self, tmp_path, monkeypatch, capsys):
         def no_campaign(*args, **kwargs):
-            raise AssertionError("run_campaign called")
+            raise AssertionError("sampled before rejecting the model")
 
         monkeypatch.setattr(cli, "run_campaign", no_campaign)
         records = tmp_path / "records.jsonl"
-        code = run_cli("simulate", "--n", "50", *model, "--trials", "5",
-                       "--check", "--records", str(records))
-        assert code == 2
-        assert not records.exists()
-        assert "--check applies" in capsys.readouterr().err
+        for model in (("--s", "2"), ("--field", "gfp", "--p", "3", "--gft-model", "1")):
+            code = run_cli("simulate", "--n", "50", *model, "--trials", "5",
+                           "--check", "--records", str(records))
+            assert code == 2
+            assert not records.exists()
+            assert "--check applies" in capsys.readouterr().err
 
 
 class TestAnalyzeCommand:

@@ -20,10 +20,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field as dc_field
+from functools import reduce
+from operator import xor
 
 import numpy as np
 
-from .gf2 import BitMatrix, NullSpaceBasis, _reduce, bit_indices, gf2_rank_nullspace, gf2_vecmat
+from .gf2 import BitMatrix, NullSpaceBasis, _reduce, _xor_pack, bit_indices, gf2_rank_nullspace
 from .unionfind import pair_components
 
 
@@ -106,9 +108,15 @@ def connected_functional_digraph(m: BitMatrix, support: int) -> bool:
     Raises ValueError if the support is not a dependency of m or a column
     hits it more than twice (the 2-random-unit models never do).
     """
-    if gf2_vecmat(support, m) != 0:
+    picked = bit_indices(support)
+    rows, cols = m.nonzero()
+    label = np.full(m.n_rows, -1)
+    label[picked] = np.arange(len(picked))
+    inside = label[rows] >= 0
+    ints = _xor_pack(len(picked), label[rows[inside]], cols[inside])  # the support's rows
+    if reduce(xor, ints, 0) != 0:
         raise ValueError("support is not a dependency")
-    return pair_components([m.row_int(r) for r in bit_indices(support)]) == 1
+    return pair_components(ints) == 1
 
 
 def greedy_large_basis(codewords: list[tuple[int, int]], small_supports: list[int],

@@ -1,11 +1,13 @@
-"""Bit-packed exact linear algebra over GF(2).
+"""Exact linear algebra over GF(2) on sparse entry lists.
 
-Rows of a :class:`BitMatrix` are packed into 64-bit machine words.  The
-central operation is *left* null-space extraction: for an n-row matrix M,
-a basis of {x : xM = 0}.  Row dependencies are the object of interest
-throughout this package, so the left kernel is the primary product here.
-Most linear-algebra libraries return the column kernel instead; do not
-mix the two.
+A :class:`BitMatrix` is stored as its set entries alone, sorted
+column-major: the sampled matrices have at most s ones per column, so
+the entry list is O(nnz) where packed rows would be n_rows * n_cols
+bits.  The central operation is *left* null-space extraction: for an
+n-row matrix M, a basis of {x : xM = 0}.  Row dependencies are the
+object of interest throughout this package, so the left kernel is the
+primary product here.  Most linear-algebra libraries return the column
+kernel instead; do not mix the two.
 
 Elimination works on the columns, which are sparse (the sampled models
 put at most s ones in each), and carries no transform.  Each column is
@@ -50,52 +52,48 @@ def indices_to_bits(indices: Iterable[int]) -> int:
     return v
 
 
+def _xor_pack(n: int, index: np.ndarray, bits: np.ndarray) -> list[int]:
+    """n Python ints, with bit bits[k] of int index[k] flipped for every k."""
+    out = [0] * n
+    for i, b in zip(index.tolist(), bits.tolist()):
+        out[i] ^= 1 << b
+    return out
+
+
+def _entry_keys(n_rows: int, n_cols: int, rows, cols) -> np.ndarray:
+    """Flat column-major keys cols * n_rows + rows of entry index arrays
+    that broadcast together.  Refuses a dimension-zero matrix, one too
+    large for int64 keys, and indices out of range."""
+    if n_rows < 1 or n_cols < 1:
+        raise ValueError("dimension-zero matrix rejected")
+    if n_rows * n_cols >= 2**63:
+        raise ValueError(f"{n_rows} x {n_cols} matrix is too large to index")
+    rows, cols = np.broadcast_arrays(np.asarray(rows, dtype=np.int64),
+                                     np.asarray(cols, dtype=np.int64))
+    if rows.size and (min(rows.min(), cols.min()) < 0
+                      or rows.max() >= n_rows or cols.max() >= n_cols):
+        raise ValueError("entry index out of range")
+    return (cols * n_rows + rows).ravel()
+
+
 @dataclass
 class BitMatrix:
-    """Row-major bit-packed matrix over GF(2).
-
-    words[i, w] holds bits 64*w .. 64*w+63 of row i (little-endian within
-    the row).  Bits at column positions >= n_cols are kept zero.
-    """
+    """Matrix over GF(2), stored as the (rows, cols) index arrays of its
+    set entries, sorted column-major (by column, then row), each position
+    once.  :meth:`from_entries`, under every other constructor, checks
+    the entries and puts them in that form."""
 
     n_rows: int
     n_cols: int
-    words: np.ndarray = field(repr=False)
-    # (rows, cols) index arrays the words were packed from, repeats
-    # included; None for a matrix built from raw words
-    _entries: tuple[np.ndarray, np.ndarray] | None = field(
-        default=None, init=False, repr=False, compare=False)
-
-    def __post_init__(self) -> None:
-        if self.n_rows < 1 or self.n_cols < 1:
-            raise ValueError("dimension-zero matrix rejected")
-        expect = (self.n_rows, _n_words(self.n_cols))
-        if self.words.shape != expect or self.words.dtype != np.uint64:
-            raise ValueError(f"words must be uint64 of shape {expect}")
-        # bits beyond n_cols must be zero
-        slack = _n_words(self.n_cols) * WORD_BITS - self.n_cols
-        if slack and int(self.words[:, -1].max(initial=0)) >> (WORD_BITS - slack):
-            raise ValueError("stray bits beyond n_cols")
-
-    @classmethod
-    def zeros(cls, n_rows: int, n_cols: int) -> "BitMatrix":
-        return cls(n_rows, n_cols, np.zeros((n_rows, _n_words(n_cols)), dtype=np.uint64))
+    _entries: tuple[np.ndarray, np.ndarray] = field(repr=False)
 
     @classmethod
     def from_entries(cls, n_rows: int, n_cols: int, rows, cols) -> "BitMatrix":
         """Set entry (rows[k], cols[k]) for every k; repeated entries XOR-cancel.
-        rows and cols are index arrays of any shapes that broadcast together;
-        the matrix keeps a flat copy of them for the elimination engine."""
-        m = cls.zeros(n_rows, n_cols)
-        rows = np.asarray(rows, dtype=np.intp)
-        cols = np.asarray(cols, dtype=np.intp)
-        if rows.size and cols.size and (min(rows.min(), cols.min()) < 0
-                                        or rows.max() >= n_rows or cols.max() >= n_cols):
-            raise ValueError("entry index out of range")
-        wi, b = cols >> 6, cols & 63  # word and bit; WORD_BITS == 64
-        np.bitwise_xor.at(m.words, (rows, wi), np.uint64(1) << b.astype(np.uint64))
-        m._entries = tuple(a.flatten() for a in np.broadcast_arrays(rows, cols))
-        return m
+        rows and cols are index arrays of any shapes that broadcast together."""
+        keys, counts = np.unique(_entry_keys(n_rows, n_cols, rows, cols), return_counts=True)
+        cols, rows = np.divmod(keys[counts % 2 == 1], n_rows)
+        return cls(n_rows, n_cols, (rows, cols))
 
     @classmethod
     def identity(cls, n: int) -> "BitMatrix":
@@ -116,53 +114,35 @@ class BitMatrix:
         cols = np.repeat(np.arange(len(columns)), [len(rows) for rows in columns])
         return cls.from_entries(n_rows, len(columns), [r for rows in columns for r in rows], cols)
 
+    @property
+    def words(self) -> np.ndarray:
+        """The rows packed into 64-bit words, built from the entries on
+        each access: words[i, w] holds bits 64*w .. 64*w+63 of row i
+        (little-endian within the row)."""
+        rows, cols = self._entries
+        words = np.zeros((self.n_rows, _n_words(self.n_cols)), dtype=np.uint64)
+        np.bitwise_or.at(words, (rows, cols // WORD_BITS),
+                         np.uint64(1) << (cols % WORD_BITS).astype(np.uint64))
+        return words
+
     def to_dense(self) -> np.ndarray:
-        bits = np.unpackbits(self.words.view(np.uint8), axis=1, bitorder="little")
-        return bits[:, : self.n_cols]
+        dense = np.zeros((self.n_rows, self.n_cols), dtype=np.uint8)
+        dense[self._entries] = 1
+        return dense
 
     def nonzero(self) -> tuple[np.ndarray, np.ndarray]:
-        """(rows, cols) of the set bits, from the words alone: each pass
-        peels the lowest set bit of every nonzero word, so the cost is
-        the number of set bits, not n_rows * n_cols.  Unordered."""
-        wr, wc = np.nonzero(self.words)
-        vals = self.words[wr, wc]
-        rows, cols = [], []
-        while vals.size:
-            low = vals & (~vals + np.uint64(1))
-            rows.append(wr)
-            # a power of two converts to float64 exactly; frexp gives its exponent
-            cols.append(wc * WORD_BITS + np.frexp(low.astype(np.float64))[1] - 1)
-            vals ^= low
-            keep = vals != 0
-            wr, wc, vals = wr[keep], wc[keep], vals[keep]
-        if not rows:
-            return np.empty(0, dtype=np.intp), np.empty(0, dtype=np.intp)
-        return np.concatenate(rows), np.concatenate(cols).astype(np.intp)
-
-    def get(self, i: int, j: int) -> int:
-        return int(self.words[i, j // WORD_BITS] >> np.uint64(j % WORD_BITS)) & 1
-
-    def row_int(self, i: int) -> int:
-        """Row i as a Python int; bit j is column j."""
-        return int.from_bytes(self.words[i].tobytes(), "little")
+        """(rows, cols) of the set entries, column-major."""
+        return self._entries
 
     def rows_as_ints(self) -> list[int]:
-        buf = self.words.tobytes()
-        stride = self.words.shape[1] * 8
-        return [int.from_bytes(buf[i * stride:(i + 1) * stride], "little")
-                for i in range(self.n_rows)]
-
-    def column_hits(self, j: int) -> list[int]:
-        """Row indices with a 1 in column j."""
-        wi = j // WORD_BITS
-        b = np.uint64(j % WORD_BITS)
-        return np.nonzero((self.words[:, wi] >> b) & np.uint64(1))[0].tolist()
+        """Every row as a Python int; bit j is column j."""
+        return _xor_pack(self.n_rows, *self._entries)
 
     def __eq__(self, other: object) -> bool:
         return (isinstance(other, BitMatrix)
                 and self.n_rows == other.n_rows
                 and self.n_cols == other.n_cols
-                and bool(np.array_equal(self.words, other.words)))
+                and all(map(np.array_equal, self._entries, other._entries)))
 
 
 @dataclass(frozen=True)
@@ -182,10 +162,11 @@ class NullSpaceBasis:
 
 def gf2_vecmat(x: int, m: BitMatrix) -> int:
     """x M over GF(2): XOR of the rows of m selected by the bits of x."""
-    acc = 0
-    for i in bit_indices(x):
-        acc ^= m.row_int(i)
-    return acc
+    rows, cols = m.nonzero()
+    picked = np.zeros(m.n_rows, dtype=bool)
+    picked[bit_indices(x)] = True
+    hits = cols[picked[rows]]
+    return _xor_pack(1, np.zeros_like(hits), hits)[0]
 
 
 def _reduce(rows: Iterable[int], stop: int) -> Iterator[int]:
@@ -212,8 +193,8 @@ def gf2_rank_nullspace(m: BitMatrix) -> tuple[int, NullSpaceBasis]:
 
     Column form: the rows are relabelled by degree, descending (stable),
     so the lowest-degree rows hold the highest labels; each column is
-    one Python int over those labels, built by XOR so that repeated
-    entries cancel, and ``_reduce`` eliminates the columns.  Rank is the
+    one Python int over those labels, built from the entries, and
+    ``_reduce`` eliminates the columns.  Rank is the
     number of nonzero reduced columns.  A label j that leads no pivot is
     free; its null vector x has bit j, no other free bit, and, for each
     pivot lead p > j in ascending order, bit p equal to the parity of
@@ -230,15 +211,12 @@ def gf2_rank_nullspace(m: BitMatrix) -> tuple[int, NullSpaceBasis]:
     dependencies of m.
     """
     nr = m.n_rows
-    rows, cols = m._entries if m._entries is not None else m.nonzero()
+    rows, cols = m.nonzero()
     order = np.argsort(-np.bincount(rows, minlength=nr), kind="stable")
     label = np.empty(nr, dtype=np.intp)
     label[order] = np.arange(nr)
-    columns = [0] * m.n_cols
-    for c, k in zip(cols.tolist(), label[rows].tolist()):
-        columns[c] ^= 1 << k
     pivots: dict[int, int] = {}
-    for v in _reduce(columns, 0):
+    for v in _reduce(_xor_pack(m.n_cols, cols, label[rows]), 0):
         if v:
             pivots[v.bit_length() - 1] = v
             if len(pivots) == nr:  # full rank: the other columns are in the span

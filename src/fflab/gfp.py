@@ -1,8 +1,9 @@
 """Exact linear algebra over prime fields GF(p) on packed lanes.
 
 Same contract as the GF(2) side: row rank plus a basis of the *left*
-null space {x : xM = 0 mod p}.  Entries are int64 residues in [0, p).
-Prime moduli only; extension fields are out of scope.
+null space {x : xM = 0 mod p}.  A :class:`PrimeFieldMatrix` is stored
+as its nonzero entries alone, each an int64 residue in [1, p).  Prime
+moduli only; extension fields are out of scope.
 
 Elimination runs as in :func:`fflab.gf2.gf2_rank_nullspace`: on the
 columns, which are sparse, with no transform carried.  Rows are
@@ -23,6 +24,8 @@ from dataclasses import dataclass, field
 from typing import Iterable
 
 import numpy as np
+
+from .gf2 import _entry_keys
 
 # Deterministic Miller-Rabin: the smallest composite that is a strong
 # pseudoprime to every prime base up to 37 is this bound, 3.2e23
@@ -63,54 +66,40 @@ def is_prime(n: int) -> bool:
 
 @dataclass
 class PrimeFieldMatrix:
+    """Matrix over GF(p), stored as the (rows, cols, vals) arrays of its
+    nonzero entries, sorted column-major (by column, then row), each
+    position once, every value a residue in [1, p).
+    :meth:`from_entries`, under every other constructor, checks the
+    modulus and the entries and puts them in that form."""
+
     p: int
     n_rows: int
     n_cols: int
-    entries: np.ndarray = field(repr=False)
-    # (rows, cols, vals) of the nonzero entries, as given to from_entries;
-    # None for a matrix built from a dense array alone
-    _entries: tuple[np.ndarray, np.ndarray, np.ndarray] | None = field(
-        default=None, init=False, repr=False, compare=False)
-
-    def __post_init__(self) -> None:
-        if self.p >= 2**63:
-            raise ValueError(f"modulus {self.p} is too large: residues must fit int64")
-        if not is_prime(self.p):
-            raise ValueError(f"modulus {self.p} is not prime")
-        if self.n_rows < 1 or self.n_cols < 1:
-            raise ValueError("dimension-zero matrix rejected")
-        if self.entries.shape != (self.n_rows, self.n_cols):
-            raise ValueError("entries shape mismatch")
-        if self.entries.dtype != np.int64:
-            raise ValueError("entries must be int64")
-        if int(self.entries.min(initial=0)) < 0 or int(self.entries.max(initial=0)) >= self.p:
-            raise ValueError("entries must be residues in [0, p)")
-
-    @classmethod
-    def zeros(cls, p: int, n_rows: int, n_cols: int) -> "PrimeFieldMatrix":
-        return cls(p, n_rows, n_cols, np.zeros((n_rows, n_cols), dtype=np.int64))
+    _entries: tuple[np.ndarray, np.ndarray, np.ndarray] = field(repr=False)
 
     @classmethod
     def from_entries(cls, p: int, n_rows: int, n_cols: int, rows, cols, vals) -> "PrimeFieldMatrix":
         """Set entry (rows[k], cols[k]) to the residue vals[k] for every k.
         rows, cols and vals are arrays of any shapes that broadcast
-        together; a position may be given at most once.  The matrix keeps
-        a flat copy of the nonzero entries for the elimination engine."""
-        rows, cols, vals = (a.flatten() for a in np.broadcast_arrays(
-            np.asarray(rows, dtype=np.intp), np.asarray(cols, dtype=np.intp),
-            np.asarray(vals, dtype=np.int64)))
-        if rows.size and (min(rows.min(), cols.min()) < 0
-                          or rows.max() >= n_rows or cols.max() >= n_cols):
-            raise ValueError("entry index out of range")
-        at = np.sort(rows * n_cols + cols)
-        if (at[1:] == at[:-1]).any():
+        together; a position may be given at most once, and zero values
+        are dropped."""
+        if p >= 2**63:
+            raise ValueError(f"modulus {p} is too large: residues must fit int64")
+        if not is_prime(p):
+            raise ValueError(f"modulus {p} is not prime")
+        rows, cols, vals = np.broadcast_arrays(np.asarray(rows, dtype=np.int64),
+                                               np.asarray(cols, dtype=np.int64),
+                                               np.asarray(vals, dtype=np.int64))
+        keys = _entry_keys(n_rows, n_cols, rows, cols)
+        order = np.argsort(keys)
+        keys, vals = keys[order], vals.ravel()[order]
+        if (keys[1:] == keys[:-1]).any():
             raise ValueError("repeated entry position")
-        entries = np.zeros((n_rows, n_cols), dtype=np.int64)
-        entries[rows, cols] = vals
-        m = cls(p, n_rows, n_cols, entries)
+        if vals.size and (vals.min() < 0 or vals.max() >= p):
+            raise ValueError("entries must be residues in [0, p)")
         keep = vals != 0
-        m._entries = (rows[keep], cols[keep], vals[keep])
-        return m
+        cols, rows = np.divmod(keys[keep], n_rows)
+        return cls(p, n_rows, n_cols, (rows, cols, vals[keep]))
 
     @classmethod
     def identity(cls, p: int, n: int) -> "PrimeFieldMatrix":
@@ -123,20 +112,25 @@ class PrimeFieldMatrix:
         rows, cols = np.nonzero(a)
         return cls.from_entries(p, *a.shape, rows, cols, a[rows, cols])
 
+    @property
+    def entries(self) -> np.ndarray:
+        """The dense n_rows x n_cols int64 residue array, built from the
+        entries on each access."""
+        rows, cols, vals = self._entries
+        dense = np.zeros((self.n_rows, self.n_cols), dtype=np.int64)
+        dense[rows, cols] = vals
+        return dense
+
     def nonzero(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(rows, cols, vals) of the nonzero entries: the ones kept by
-        from_entries, else read from the dense array."""
-        if self._entries is not None:
-            return self._entries
-        rows, cols = np.nonzero(self.entries)
-        return rows, cols, self.entries[rows, cols]
+        """(rows, cols, vals) of the nonzero entries, column-major."""
+        return self._entries
 
     def __eq__(self, other: object) -> bool:
         return (isinstance(other, PrimeFieldMatrix)
                 and self.p == other.p
                 and self.n_rows == other.n_rows
                 and self.n_cols == other.n_cols
-                and bool(np.array_equal(self.entries, other.entries)))
+                and all(map(np.array_equal, self._entries, other._entries)))
 
 
 def gfp_vecmat(x: np.ndarray, m: PrimeFieldMatrix) -> np.ndarray:

@@ -216,9 +216,9 @@ def serialize_matrix(m: BitMatrix | PrimeFieldMatrix) -> str:
     else:
         head = f"gfp {m.p} {m.n_rows} {m.n_cols}"
         rows, cols, vals = m.nonzero()
-    order = np.lexsort((rows, cols))
     text: list[list[str]] = [[] for _ in range(m.n_cols)]
-    for rr, j, v in zip(rows[order].tolist(), cols[order].tolist(), vals[order].tolist()):
+    # the entries are stored column-major, so each column's rows ascend
+    for rr, j, v in zip(rows.tolist(), cols.tolist(), vals.tolist()):
         text[j].append(f"{rr}:{v}")
     return "\n".join([head, *(" ".join(t) for t in text)]) + "\n"
 
@@ -249,6 +249,8 @@ def parse_matrix(text: str) -> BitMatrix | PrimeFieldMatrix:
         raise MatrixParseError(1, 1, "dimensions must be integers")
     if n_rows < 1 or n_cols < 1:
         raise MatrixParseError(1, 1, "dimensions must be >= 1")
+    if n_rows * n_cols >= 2**63:
+        raise MatrixParseError(1, 1, "dimensions too large: entry positions must fit int64")
     if head[0] == "gfp":
         if p >= 2**63:
             raise MatrixParseError(1, len(head[0]) + 2,

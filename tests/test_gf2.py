@@ -137,8 +137,6 @@ def test_basis_equals_oracle_on_dense(seed, n_rows, n_cols, density, damage):
     if damage & 2:  # repeated rows
         dense[rng.integers(0, n_rows, size=n_rows // 3)] = dense[rng.integers(0, n_rows)]
     assert_canonical_basis(BitMatrix.from_dense(dense), dense)
-    # a matrix built from raw words: the engine derives its entries itself
-    assert_canonical_basis(BitMatrix(n_rows, n_cols, packbits_words(dense)), dense)
 
 
 @given(st.integers(0, 2**31 - 1), st.integers(1, 30), st.integers(1, 30), st.integers(0, 200))
@@ -179,8 +177,13 @@ def test_nonzero_lists_the_set_bits():
         dense[0, -1] = 1
         rows, cols = BitMatrix.from_dense(dense).nonzero()
         assert sorted(zip(rows.tolist(), cols.tolist())) == list(zip(*map(list, np.nonzero(dense))))
-    rows, cols = BitMatrix.zeros(2, 3).nonzero()
+    rows, cols = BitMatrix.from_entries(2, 3, [], []).nonzero()
     assert rows.size == cols.size == 0
+    # an entry given an odd number of times stays, an even number cancels;
+    # the entries are listed column-major
+    m = BitMatrix.from_entries(3, 2, [2, 0, 2, 1, 1, 0, 2], [1, 1, 1, 0, 0, 0, 1])
+    rows, cols = m.nonzero()
+    assert (rows.tolist(), cols.tolist()) == ([0, 0, 2], [0, 1, 1])
 
 
 def test_from_columns_xor_cancellation():
@@ -207,27 +210,17 @@ def test_from_columns_xor_cancellation():
         BitMatrix.from_columns(4, [[0], [-1]])
 
 
-def test_row_int_and_column_hits():
-    dense = np.array([[1, 0, 1], [0, 1, 1]])
-    m = BitMatrix.from_dense(dense)
-    assert m.row_int(0) == 0b101
-    assert m.row_int(1) == 0b110
-    assert m.column_hits(2) == [0, 1]
-    assert m.get(0, 1) == 0 and m.get(1, 1) == 1
-
-
 def test_zero_dimension_rejected():
     with pytest.raises(ValueError):
-        BitMatrix.zeros(0, 3)
+        BitMatrix.from_entries(0, 3, [], [])
     with pytest.raises(ValueError):
-        BitMatrix.zeros(3, 0)
+        BitMatrix.from_entries(3, 0, [], [])
 
 
-def test_stray_bits_rejected():
-    words = np.zeros((1, 1), dtype=np.uint64)
-    words[0, 0] = np.uint64(1) << np.uint64(5)
-    with pytest.raises(ValueError):
-        BitMatrix(1, 5, words)  # bit 5 is out of range for n_cols=5
+def test_oversized_dimensions_rejected():
+    # entry positions cols * n_rows + rows would overflow int64
+    with pytest.raises(ValueError, match="too large"):
+        BitMatrix.from_entries(2**62, 2, [], [])
 
 
 def test_combine_codewords_trivial_cases():

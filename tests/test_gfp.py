@@ -60,20 +60,21 @@ def test_identity_full_rank_gf3():
 
 def test_composite_modulus_rejected_at_construction():
     with pytest.raises(ValueError):
-        PrimeFieldMatrix.zeros(6, 2, 2)
+        PrimeFieldMatrix.from_entries(6, 2, 2, [], [], [])
     with pytest.raises(ValueError):
-        PrimeFieldMatrix.zeros(1, 2, 2)
+        PrimeFieldMatrix.from_entries(1, 2, 2, [], [], [])
 
 
 def test_modulus_beyond_int64_rejected():
+    # prime, but its residues overflow int64
     with pytest.raises(ValueError, match="fit int64"):
-        PrimeFieldMatrix.zeros(2**64 + 13, 2, 2)  # prime, but its residues overflow int64
+        PrimeFieldMatrix.from_entries(2**64 + 13, 2, 2, [], [], [])
 
 
 def test_entries_out_of_range_rejected():
-    bad = np.full((2, 2), 3, dtype=np.int64)
-    with pytest.raises(ValueError):
-        PrimeFieldMatrix(3, 2, 2, bad)
+    for bad in (3, -1):
+        with pytest.raises(ValueError, match="residues"):
+            PrimeFieldMatrix.from_entries(3, 2, 2, [0, 1], [1, 0], [1, bad])
 
 
 def test_rank_matches_naive_reference_gf5():
@@ -127,12 +128,9 @@ def test_basis_equals_canonical_oracle(seed, p, n_rows, n_cols, density, n_deps)
     at every other such row."""
     dense = planted_dense(seed, p, n_rows, n_cols, density, n_deps)
     deps, vectors = left_nullspace_canonical_modp_dense(dense, p)
-    residues = dense.astype(np.int64)
-    # from kept entries, and from a dense array alone (the engine reads its nonzeros)
-    for m in (PrimeFieldMatrix.from_dense(residues, p), PrimeFieldMatrix(p, n_rows, n_cols, residues)):
-        rank, basis = gfp_rank_nullspace(m)
-        assert rank == n_rows - len(deps)
-        assert [x.tolist() for x in basis] == vectors
+    rank, basis = gfp_rank_nullspace(PrimeFieldMatrix.from_dense(dense.astype(np.int64), p))
+    assert rank == n_rows - len(deps)
+    assert [x.tolist() for x in basis] == vectors
 
 
 def test_sampled_bases_pinned():
@@ -155,10 +153,11 @@ def test_from_entries():
     m = PrimeFieldMatrix.from_entries(5, 3, 2, rows[::-1], cols[::-1], dense[rows, cols][::-1])
     assert m == PrimeFieldMatrix.from_dense(dense, 5)
     assert np.array_equal(m.entries, dense)
-    # index and value arrays broadcast; zero values are set but not kept
+    # index and value arrays broadcast; zero values are dropped, and the
+    # entries are kept column-major
     m = PrimeFieldMatrix.from_entries(5, 3, 2, [[0], [2]], [0, 1], [[0, 4], [1, 3]])
     assert m.entries.tolist() == [[0, 4], [0, 0], [1, 3]]
-    assert sorted(zip(*(a.tolist() for a in m.nonzero()))) == [(0, 1, 4), (2, 0, 1), (2, 1, 3)]
+    assert list(zip(*(a.tolist() for a in m.nonzero()))) == [(2, 0, 1), (0, 1, 4), (2, 1, 3)]
     for bad in (([0, 0], [1, 1], [1, 2]),  # a position given twice
                 ([3], [0], [1]), ([-1], [0], [1]), ([0], [2], [1]),  # out of range
                 ([0], [0], [5]), ([0], [0], [-1])):  # not a residue
@@ -247,7 +246,7 @@ def test_gf3_model1_exhaustive_corank_law_n5():
         dense = np.eye(n, dtype=np.int64)
         for c, rows in enumerate(pick):
             dense[list(rows), c] = 1
-        corank = n - gfp_rank(PrimeFieldMatrix(3, n, n, dense))
+        corank = n - gfp_rank(PrimeFieldMatrix.from_dense(dense, 3))
         assert corank == n - rank_modp_dense(dense, 3)
         coranks.append(corank)
     assert len(coranks) == 7776

@@ -1,5 +1,7 @@
 import math
+import re
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,6 +20,15 @@ from fflab.models import (
     sample_gft,
     serialize_matrix,
 )
+
+
+def traced_peak(fn):
+    """fn() and the peak of the memory traced while it ran, in bytes."""
+    tracemalloc.start()
+    try:
+        return fn(), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 class TestConfigValidation:
@@ -133,6 +144,13 @@ class TestGf2Sampler:
         assert (dense.sum(axis=0) == 2).all()
         assert (np.diag(dense) == 1).all()
 
+    def test_sample_stores_entries_only(self):
+        # packed rows alone would be n x n / 8 bytes: 50 MB at n = 2 * 10^4
+        cfg = ModelConfig(n=20000, r=1, s=3, master_seed=20000)
+        sm, peak = traced_peak(lambda: sample_gf2(cfg, 0))
+        assert sm.matrix.nonzero()[0].size == 3 * cfg.n
+        assert peak < 8 * 2**20
+
 
 class TestFunctionalGraph:
     def test_identity_shift_cycle(self):
@@ -217,6 +235,13 @@ class TestGftSampler:
             b = sample_gf2(gf2_cfg, trial).matrix
             assert np.array_equal(a.entries, b.to_dense())
 
+    def test_sample_stores_entries_only(self):
+        # a dense int64 n x n array alone would be 32 MB at n = 2000
+        cfg = ModelConfig(n=2000, field="gfp", p=3, gft_model=1, master_seed=2000)
+        sm, peak = traced_peak(lambda: sample_gft(cfg, 0))
+        assert sm.matrix.nonzero()[0].size == 3 * cfg.n
+        assert peak < 4 * 2**20
+
 
 def sparse_gf2_fixture(n: int) -> str:
     """Text of an n x n GF(2) matrix with two ones per column."""
@@ -251,27 +276,29 @@ class TestSerialization:
         g = PrimeFieldMatrix.from_dense(np.array([[0, 4], [2, 0], [1, 3]]), 5)
         assert serialize_matrix(g) == "gfp 5 3 2\n1:2 2:1\n0:4 2:3\n"
 
+    def test_readme_fixture_roundtrips(self):
+        readme = (Path(__file__).parents[1] / "README.md").read_text()
+        section = readme.split("## Matrix fixture format", 1)[1]
+        text = re.search(r"^```\n(.*?)^```", section, re.M | re.S).group(1)
+        assert serialize_matrix(parse_matrix(text)) == text
+
     def test_gf2_parse_allocates_no_dense_array(self):
         n = 3000
         text = sparse_gf2_fixture(n)
-        tracemalloc.start()
-        try:
-            m = parse_matrix(text)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        m, peak = traced_peak(lambda: parse_matrix(text))
         assert int(np.bitwise_count(m.words).sum()) == 2 * n
         assert peak < 16 * 2**20  # a dense int64 n x n array alone is 72 MB
+
+    def test_gfp_parse_allocates_no_dense_array(self):
+        n = 3000
+        m, peak = traced_peak(lambda: parse_matrix(f"gfp 3 {n} {n}\n" + "\n" * n))
+        assert m.nonzero()[0].size == 0
+        assert peak < 2 * 2**20  # a dense int64 n x n array alone is 72 MB
 
     def test_gf2_serialize_allocates_no_dense_array(self):
         text = sparse_gf2_fixture(3000)
         m = parse_matrix(text)
-        tracemalloc.start()
-        try:
-            out = serialize_matrix(m)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        out, peak = traced_peak(lambda: serialize_matrix(m))
         assert out == text
         assert peak < 2 * 2**20  # a dense uint8 n x n array alone is 8.6 MB
 
@@ -295,6 +322,8 @@ class TestSerialization:
             parse_matrix("gfp 6 2 2\n0:1\n\n")  # composite modulus
         with pytest.raises(MatrixParseError):
             parse_matrix("gf2 0 2\n\n\n")  # degenerate dimensions
+        with pytest.raises(MatrixParseError, match="too large"):
+            parse_matrix(f"gf2 {2**62} 2\n\n\n")  # entry positions overflow int64
 
     def test_modulus_beyond_exact_primality_is_a_parse_error(self):
         huge = 399165290221 * 798330580441  # passes Miller-Rabin on bases 2..37

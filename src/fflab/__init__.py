@@ -5,7 +5,7 @@ computes rank and left-null-space structure with bit-packed elimination,
 and reconciles empirical co-rank/dependency statistics against exact
 limiting laws via seeded Monte Carlo.
 """
-from .gf2 import BitMatrix, NullSpaceBasis, combine_codewords, gf2_rank_nullspace
+from .gf2 import BitMatrix, gf2_rank_nullspace
 from .gfp import PrimeFieldMatrix, gfp_rank, gfp_rank_nullspace
 from .models import (
     ModelConfig,
@@ -37,8 +37,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BitMatrix",
-    "NullSpaceBasis",
-    "combine_codewords",
     "gf2_rank_nullspace",
     "PrimeFieldMatrix",
     "gfp_rank",

@@ -20,13 +20,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field as dc_field
-from functools import reduce
-from operator import xor
+from typing import Sequence
 
 import numpy as np
 
-from .gf2 import BitMatrix, NullSpaceBasis, _reduce, _xor_pack, bit_indices, gf2_rank_nullspace
-from .unionfind import pair_components
+from .gf2 import BitMatrix, _pair_components, _reduce, bit_indices, gf2_rank_nullspace
 
 
 class GuardExceeded(RuntimeError):
@@ -56,7 +54,7 @@ def in_large_window(w: int, n: int, a: float) -> bool:
     return abs(w - n / 2) <= window_halfwidth(n, a)
 
 
-def _gray(vectors: list[int]):
+def _gray(vectors: Sequence[int]):
     """The 2^k - 1 nonzero XOR combinations of the vectors, in Gray-code order."""
     cur = 0
     for g in range(1, 1 << len(vectors)):
@@ -64,19 +62,17 @@ def _gray(vectors: list[int]):
         yield cur
 
 
-def enumerate_codewords(basis: NullSpaceBasis | list[int],
-                        guard: int = 20) -> list[tuple[int, int]]:
+def enumerate_codewords(basis: Sequence[int], guard: int = 20) -> list[tuple[int, int]]:
     """All 2^d - 1 nonzero codewords as (support, weight), Gray-code order.
 
     Refuses outright when d exceeds the guard; the models analysed here
     have d = O(1) with high probability, so a hit indicates a bug
     upstream and silent truncation would hide it.
     """
-    vectors = list(basis.vectors) if isinstance(basis, NullSpaceBasis) else list(basis)
-    d = len(vectors)
+    d = len(basis)
     if d > guard:
         raise GuardExceeded(f"null-space dimension {d} exceeds guard {guard}", d)
-    return [(c, c.bit_count()) for c in _gray(vectors)]
+    return [(c, c.bit_count()) for c in _gray(basis)]
 
 
 def fundamental_small(codewords: list[tuple[int, int]], omega: int) -> list[int]:
@@ -113,10 +109,10 @@ def connected_functional_digraph(m: BitMatrix, support: int) -> bool:
     label = np.full(m.n_rows, -1)
     label[picked] = np.arange(len(picked))
     inside = label[rows] >= 0
-    ints = _xor_pack(len(picked), label[rows[inside]], cols[inside])  # the support's rows
-    if reduce(xor, ints, 0) != 0:
+    rows, cols = label[rows[inside]], cols[inside]  # the support's entries, column-major
+    if (np.bincount(cols) % 2).any():  # a column meets the support an odd number of times
         raise ValueError("support is not a dependency")
-    return pair_components(ints) == 1
+    return _pair_components(len(picked), rows, cols) == 1
 
 
 def greedy_large_basis(codewords: list[tuple[int, int]], small_supports: list[int],
@@ -262,12 +258,12 @@ def classify(codewords: list[tuple[int, int]], n: int, omega: int,
 
 
 def analyze_matrix(m: BitMatrix, omega: int | None = None, window_a: float = 4.0,
-                   guard: int = 20, cross_check: bool = True) -> NullSpaceReport:
+                   guard: int = 20) -> NullSpaceReport:
     """Full pipeline: rank, null basis, codewords, classification, checks.
 
     Raises GuardExceeded when the null-space dimension is above the
-    guard.  cross_check re-derives every small codeword's fundamental
-    verdict through the connectivity definition and counts mismatches.
+    guard.  Every small codeword's fundamental verdict is re-derived
+    through the connectivity definition, and mismatches are counted.
     """
     n = m.n_rows
     if omega is None:
@@ -276,12 +272,10 @@ def analyze_matrix(m: BitMatrix, omega: int | None = None, window_a: float = 4.0
     codewords = enumerate_codewords(basis, guard)
     report = classify(codewords, n, omega, window_a)
     assert report.rank == rank
-    if cross_check:
-        fundamentals = set(report.small_supports)
-        for c, w in codewords:
-            if w <= omega:
-                if connected_functional_digraph(m, c) != (c in fundamentals):
-                    report.equiv_violations += 1
+    fundamentals = set(report.small_supports)
+    for c, w in codewords:
+        if w <= omega and connected_functional_digraph(m, c) != (c in fundamentals):
+            report.equiv_violations += 1
     report.large_basis = greedy_large_basis(codewords, report.small_supports,
                                             n, omega, window_a)
     report.large_basis_deficit = report.lam - len(report.large_basis)

@@ -76,43 +76,42 @@ def _entry_keys(n_rows: int, n_cols: int, rows, cols) -> np.ndarray:
     return (cols * n_rows + rows).ravel()
 
 
-@dataclass
+@dataclass(init=False)
 class BitMatrix:
     """Matrix over GF(2), stored as the (rows, cols) index arrays of its
     set entries, sorted column-major (by column, then row), each position
-    once.  :meth:`from_entries`, under every other constructor, checks
-    the entries and puts them in that form."""
+    once.  The constructor checks the entries and puts them in that form;
+    the other constructors all go through it."""
 
     n_rows: int
     n_cols: int
     _entries: tuple[np.ndarray, np.ndarray] = field(repr=False)
 
-    @classmethod
-    def from_entries(cls, n_rows: int, n_cols: int, rows, cols) -> "BitMatrix":
+    def __init__(self, n_rows: int, n_cols: int, rows, cols):
         """Set entry (rows[k], cols[k]) for every k; repeated entries XOR-cancel.
         rows and cols are index arrays of any shapes that broadcast together."""
         keys, counts = np.unique(_entry_keys(n_rows, n_cols, rows, cols), return_counts=True)
         cols, rows = np.divmod(keys[counts % 2 == 1], n_rows)
-        return cls(n_rows, n_cols, (rows, cols))
+        self.n_rows, self.n_cols, self._entries = n_rows, n_cols, (rows, cols)
 
     @classmethod
     def identity(cls, n: int) -> "BitMatrix":
         idx = np.arange(n)
-        return cls.from_entries(n, n, idx, idx)
+        return cls(n, n, idx, idx)
 
     @classmethod
     def from_dense(cls, dense: np.ndarray) -> "BitMatrix":
         a = np.asarray(dense)
         if a.ndim != 2:
             raise ValueError("expected a 2-d array")
-        return cls.from_entries(*a.shape, *np.nonzero(a))
+        return cls(*a.shape, *np.nonzero(a))
 
     @classmethod
     def from_columns(cls, n_rows: int, columns: Sequence[Iterable[int]]) -> "BitMatrix":
         """Build from per-column row-index lists; repeated entries XOR-cancel."""
         columns = [list(rows) for rows in columns]
         cols = np.repeat(np.arange(len(columns)), [len(rows) for rows in columns])
-        return cls.from_entries(n_rows, len(columns), [r for rows in columns for r in rows], cols)
+        return cls(n_rows, len(columns), [r for rows in columns for r in rows], cols)
 
     @property
     def words(self) -> np.ndarray:
@@ -134,30 +133,11 @@ class BitMatrix:
         """(rows, cols) of the set entries, column-major."""
         return self._entries
 
-    def rows_as_ints(self) -> list[int]:
-        """Every row as a Python int; bit j is column j."""
-        return _xor_pack(self.n_rows, *self._entries)
-
     def __eq__(self, other: object) -> bool:
         return (isinstance(other, BitMatrix)
                 and self.n_rows == other.n_rows
                 and self.n_cols == other.n_cols
                 and all(map(np.array_equal, self._entries, other._entries)))
-
-
-@dataclass(frozen=True)
-class NullSpaceBasis:
-    """Basis of the left null space {x : xM = 0} of an n_rows-row matrix.
-
-    Each basis vector is a Python int whose bit i selects row i.
-    """
-
-    n_rows: int
-    vectors: tuple[int, ...]
-
-    @property
-    def dimension(self) -> int:
-        return len(self.vectors)
 
 
 def gf2_vecmat(x: int, m: BitMatrix) -> int:
@@ -188,8 +168,9 @@ def _reduce(rows: Iterable[int], stop: int) -> Iterator[int]:
         yield v
 
 
-def gf2_rank_nullspace(m: BitMatrix) -> tuple[int, NullSpaceBasis]:
-    """Rank and left-null-space basis of a BitMatrix.
+def gf2_rank_nullspace(m: BitMatrix) -> tuple[int, tuple[int, ...]]:
+    """Rank and left-null-space basis of a BitMatrix.  Each basis vector
+    is a Python int whose bit i selects row i.
 
     Column form: the rows are relabelled by degree, descending (stable),
     so the lowest-degree rows hold the highest labels; each column is
@@ -206,7 +187,7 @@ def gf2_rank_nullspace(m: BitMatrix) -> tuple[int, NullSpaceBasis]:
     D is the unique null vector whose support meets D only at i, and
     the vectors come in ascending order of i.
 
-    Guarantees: rank + basis.dimension == n_rows; every basis vector x
+    Guarantees: rank + len(basis) == n_rows; every basis vector x
     satisfies x M = 0; the vectors are linearly independent and span all
     dependencies of m.
     """
@@ -229,7 +210,7 @@ def gf2_rank_nullspace(m: BitMatrix) -> tuple[int, NullSpaceBasis]:
             if (x & pivots[p]).bit_count() & 1:
                 x |= 1 << p
         vectors.append(_relabel(x, label, nr))
-    return len(pivots), NullSpaceBasis(nr, _canonical(vectors))
+    return len(pivots), _canonical(vectors)
 
 
 def _relabel(x: int, label: np.ndarray, nr: int) -> int:
@@ -252,12 +233,27 @@ def _canonical(vectors: list[int]) -> tuple[int, ...]:
     return tuple(out)
 
 
-def combine_codewords(basis: NullSpaceBasis, mask: Sequence[int]) -> int:
-    """GF(2) sum of the basis vectors selected by a 0/1 mask."""
-    if len(mask) != basis.dimension:
-        raise ValueError("mask length must equal basis dimension")
-    acc = 0
-    for pick, vec in zip(mask, basis.vectors):
-        if pick:
-            acc ^= vec
-    return acc
+def _pair_components(n: int, rows: np.ndarray, cols: np.ndarray) -> int:
+    """Components of the graph on vertices 0..n-1 with an edge {a, b} for
+    each column set in exactly rows a and b, read from a column-major
+    entry list, where a column's rows are adjacent.  Raises ValueError on
+    a column set in any other nonzero number of rows."""
+    rows, cols = rows.tolist(), cols.tolist()
+    parent = list(range(n))
+
+    def find(x: int) -> int:
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]  # path halving
+            x = parent[x]
+        return x
+
+    components = n
+    for k in range(0, len(cols), 2):
+        hits = bisect_right(cols, cols[k], k) - k
+        if hits != 2:
+            raise ValueError(f"column {cols[k]} is set in {hits} rows, not 2")
+        ra, rb = find(rows[k]), find(rows[k + 1])
+        if ra != rb:
+            parent[ra] = rb
+            components -= 1
+    return components

@@ -64,21 +64,20 @@ def is_prime(n: int) -> bool:
     return True
 
 
-@dataclass
+@dataclass(init=False)
 class PrimeFieldMatrix:
     """Matrix over GF(p), stored as the (rows, cols, vals) arrays of its
     nonzero entries, sorted column-major (by column, then row), each
-    position once, every value a residue in [1, p).
-    :meth:`from_entries`, under every other constructor, checks the
-    modulus and the entries and puts them in that form."""
+    position once, every value a residue in [1, p).  The constructor
+    checks the modulus and the entries and puts them in that form; the
+    other constructors all go through it."""
 
     p: int
     n_rows: int
     n_cols: int
     _entries: tuple[np.ndarray, np.ndarray, np.ndarray] = field(repr=False)
 
-    @classmethod
-    def from_entries(cls, p: int, n_rows: int, n_cols: int, rows, cols, vals) -> "PrimeFieldMatrix":
+    def __init__(self, p: int, n_rows: int, n_cols: int, rows, cols, vals):
         """Set entry (rows[k], cols[k]) to the residue vals[k] for every k.
         rows, cols and vals are arrays of any shapes that broadcast
         together; a position may be given at most once, and zero values
@@ -99,18 +98,19 @@ class PrimeFieldMatrix:
             raise ValueError("entries must be residues in [0, p)")
         keep = vals != 0
         cols, rows = np.divmod(keys[keep], n_rows)
-        return cls(p, n_rows, n_cols, (rows, cols, vals[keep]))
+        self.p, self.n_rows, self.n_cols = p, n_rows, n_cols
+        self._entries = (rows, cols, vals[keep])
 
     @classmethod
     def identity(cls, p: int, n: int) -> "PrimeFieldMatrix":
         idx = np.arange(n)
-        return cls.from_entries(p, n, n, idx, idx, 1)
+        return cls(p, n, n, idx, idx, 1)
 
     @classmethod
     def from_dense(cls, dense: np.ndarray, p: int) -> "PrimeFieldMatrix":
         a = np.asarray(dense, dtype=np.int64) % p
         rows, cols = np.nonzero(a)
-        return cls.from_entries(p, *a.shape, rows, cols, a[rows, cols])
+        return cls(p, *a.shape, rows, cols, a[rows, cols])
 
     @property
     def entries(self) -> np.ndarray:

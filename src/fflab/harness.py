@@ -167,6 +167,7 @@ def summarize(records: Sequence[TrialRecord], master_seed: int) -> CampaignSumma
 
 
 def _pool_map(fn, items: Iterable, workers: int):
+    """[fn(x) for x in items], in item order, on `workers` forked processes."""
     items = list(items)
     if workers <= 1:
         return [fn(x) for x in items]
@@ -185,7 +186,6 @@ def run_campaign(cfg: ModelConfig, trials: int, workers: int = 1,
     t0 = time.perf_counter()
     fn = partial(run_trial, cfg, omega=omega, window_a=window_a, guard=guard)
     records = _pool_map(fn, range(trials), workers)
-    records.sort(key=lambda r: r.trial)
     summary = summarize(records, cfg.master_seed)
     summary.wall_s = time.perf_counter() - t0
     return records, summary
@@ -386,7 +386,7 @@ def _audit_trial(family: str, cfg: ModelConfig, trial: int) -> tuple[int, int]:
     if isinstance(m, PrimeFieldMatrix):
         corank = m.n_rows - gfp_rank(m)
     else:
-        corank = gf2_rank_nullspace(m)[1].dimension
+        corank = len(gf2_rank_nullspace(m)[1])
     return (int(audit.violation(sm, corank)),
             0 if audit.hit is None else int(audit.hit(corank)))
 

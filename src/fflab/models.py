@@ -21,9 +21,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gf2 import BitMatrix
+from .gf2 import BitMatrix, _pair_components
 from .gfp import PrimeFieldMatrix, is_prime
-from .unionfind import pair_components
 
 WITH = "with"
 WITHOUT = "without"
@@ -141,7 +140,7 @@ def sample_gf2(cfg: ModelConfig, trial: int) -> SampledMatrix:
     rng = trial_generator(cfg, trial)
     rn = cfg.r * cfg.n
     pos = _draw_positions(rng, cfg.n, cfg.r, cfg.s, cfg.replacement)
-    m = BitMatrix.from_entries(cfg.n, rn, pos, np.arange(rn)[:, None])
+    m = BitMatrix(cfg.n, rn, pos, np.arange(rn)[:, None])
     return SampledMatrix(m, cfg, trial)
 
 
@@ -172,7 +171,7 @@ def sample_gft(cfg: ModelConfig, trial: int) -> SampledMatrix:
     else:
         dia = np.ones(n, dtype=np.int64)
     vals = np.column_stack([dia, off])  # entry 0 of pos is the diagonal
-    m = PrimeFieldMatrix.from_entries(p, n, n, pos, np.arange(n)[:, None], vals)
+    m = PrimeFieldMatrix(p, n, n, pos, np.arange(n)[:, None], vals)
     return SampledMatrix(m, cfg, trial)
 
 
@@ -190,7 +189,7 @@ def functional_graph_components(sm: SampledMatrix) -> int:
     cfg = sm.config
     if cfg.s != 2 or cfg.r != 1 or cfg.field != "gf2":
         raise ValueError("functional graph oracle requires s=2, r=1 over GF(2)")
-    return pair_components(sm.matrix.rows_as_ints())
+    return _pair_components(cfg.n, *sm.matrix.nonzero())
 
 
 # --- textual fixture format ---------------------------------------------
@@ -288,5 +287,5 @@ def parse_matrix(text: str) -> BitMatrix | PrimeFieldMatrix:
             vals.append(val)
             pos = col_at + len(tok)
     if head[0] == "gf2":
-        return BitMatrix.from_entries(n_rows, n_cols, rows, cols)
-    return PrimeFieldMatrix.from_entries(p, n_rows, n_cols, rows, cols, vals)
+        return BitMatrix(n_rows, n_cols, rows, cols)
+    return PrimeFieldMatrix(p, n_rows, n_cols, rows, cols, vals)

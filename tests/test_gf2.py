@@ -7,9 +7,8 @@ from hypothesis import strategies as st
 
 from fflab.gf2 import (
     BitMatrix,
-    NullSpaceBasis,
+    _pair_components,
     bit_indices,
-    combine_codewords,
     gf2_rank_nullspace,
     gf2_vecmat,
     indices_to_bits,
@@ -26,7 +25,7 @@ def test_identity_full_rank():
     for n in (1, 5, 64, 65, 130):
         rank, basis = gf2_rank_nullspace(BitMatrix.identity(n))
         assert rank == n
-        assert basis.dimension == 0
+        assert len(basis) == 0
 
 
 def test_duplicate_row_corank_one():
@@ -35,8 +34,8 @@ def test_duplicate_row_corank_one():
     dense[n - 1] = dense[0]
     rank, basis = gf2_rank_nullspace(BitMatrix.from_dense(dense))
     assert rank == n - 1
-    assert basis.dimension == 1
-    assert basis.vectors[0] == (1 << 0) | (1 << (n - 1))
+    assert len(basis) == 1
+    assert basis[0] == (1 << 0) | (1 << (n - 1))
 
 
 def test_rank_matches_naive_reference_on_random_dense():
@@ -46,7 +45,7 @@ def test_rank_matches_naive_reference_on_random_dense():
         m = BitMatrix.from_dense(dense)
         rank, basis = gf2_rank_nullspace(m)
         assert rank == rank_mod2_dense(dense)
-        assert rank + basis.dimension == 64
+        assert rank + len(basis) == 64
 
 
 def test_basis_vectors_are_dependencies_and_independent():
@@ -57,16 +56,16 @@ def test_basis_vectors_are_dependencies_and_independent():
         dense = random_dense(rng, n_rows, n_cols)
         m = BitMatrix.from_dense(dense)
         rank, basis = gf2_rank_nullspace(m)
-        assert rank + basis.dimension == n_rows
-        for v in basis.vectors:
+        assert rank + len(basis) == n_rows
+        for v in basis:
             assert v != 0
             assert gf2_vecmat(v, m) == 0
         # independence: XOR of any nonempty subset is nonzero
         seen = {0}
-        for g in range(1, 1 << min(basis.dimension, 12)):
+        for g in range(1, 1 << min(len(basis), 12)):
             acc = 0
             for i in bit_indices(g):
-                acc ^= basis.vectors[i]
+                acc ^= basis[i]
             assert acc not in seen
             seen.add(acc)
 
@@ -77,9 +76,9 @@ def test_basis_verified_at_n_512():
     dense = (rng.random((512, 512)) < 0.004).astype(np.uint8)
     m = BitMatrix.from_dense(dense)
     rank, basis = gf2_rank_nullspace(m)
-    assert rank + basis.dimension == 512
-    assert basis.dimension > 0
-    for v in basis.vectors:
+    assert rank + len(basis) == 512
+    assert len(basis) > 0
+    for v in basis:
         assert gf2_vecmat(v, m) == 0
 
 
@@ -111,9 +110,9 @@ def test_dense_roundtrip(seed, n_rows, n_cols):
     assert m == BitMatrix.from_dense(m.to_dense())
     assert np.array_equal(m.words, packbits_words(dense))
     rows, cols = np.nonzero(dense)
-    assert m == BitMatrix.from_entries(n_rows, n_cols, rows, cols)
+    assert m == BitMatrix(n_rows, n_cols, rows, cols)
     order = rng.permutation(len(rows))
-    assert m == BitMatrix.from_entries(n_rows, n_cols, rows[order], cols[order])
+    assert m == BitMatrix(n_rows, n_cols, rows[order], cols[order])
     assert m == BitMatrix.from_columns(n_rows, [np.nonzero(dense[:, j])[0].tolist()
                                                 for j in range(n_cols)])
 
@@ -123,7 +122,7 @@ def assert_canonical_basis(m, dense):
     deps, vectors = left_nullspace_canonical_dense(dense)
     rank, basis = gf2_rank_nullspace(m)
     assert rank == m.n_rows - len(deps)
-    assert basis.vectors == tuple(vectors)
+    assert basis == tuple(vectors)
 
 
 @given(st.integers(0, 2**31 - 1), st.integers(1, 40), st.integers(1, 40),
@@ -146,7 +145,7 @@ def test_basis_equals_oracle_with_cancelling_entries(seed, n_rows, n_cols, n_ent
     cols = rng.integers(0, n_cols, size=n_entries)
     dense = np.zeros((n_rows, n_cols), dtype=np.int64)
     np.add.at(dense, (rows, cols), 1)
-    assert_canonical_basis(BitMatrix.from_entries(n_rows, n_cols, rows, cols), dense % 2)
+    assert_canonical_basis(BitMatrix(n_rows, n_cols, rows, cols), dense % 2)
 
 
 @pytest.mark.parametrize("replacement", ["with", "without"])
@@ -177,11 +176,11 @@ def test_nonzero_lists_the_set_bits():
         dense[0, -1] = 1
         rows, cols = BitMatrix.from_dense(dense).nonzero()
         assert sorted(zip(rows.tolist(), cols.tolist())) == list(zip(*map(list, np.nonzero(dense))))
-    rows, cols = BitMatrix.from_entries(2, 3, [], []).nonzero()
+    rows, cols = BitMatrix(2, 3, [], []).nonzero()
     assert rows.size == cols.size == 0
     # an entry given an odd number of times stays, an even number cancels;
     # the entries are listed column-major
-    m = BitMatrix.from_entries(3, 2, [2, 0, 2, 1, 1, 0, 2], [1, 1, 1, 0, 0, 0, 1])
+    m = BitMatrix(3, 2, [2, 0, 2, 1, 1, 0, 2], [1, 1, 1, 0, 0, 0, 1])
     rows, cols = m.nonzero()
     assert (rows.tolist(), cols.tolist()) == ([0, 0, 2], [0, 1, 1])
 
@@ -192,57 +191,55 @@ def test_from_columns_xor_cancellation():
     assert dense[:, 0].tolist() == [1, 1, 0, 0]
     assert dense[:, 1].tolist() == [0, 0, 0, 0]  # repeated entry cancels
     assert dense[:, 2].tolist() == [0, 1, 0, 0]  # 3 appears twice
-    assert m == BitMatrix.from_entries(4, 3, [0, 1, 2, 2, 3, 1, 3], [0, 0, 1, 1, 2, 2, 2])
+    assert m == BitMatrix(4, 3, [0, 1, 2, 2, 3, 1, 3], [0, 0, 1, 1, 2, 2, 2])
     # an entry repeated k times survives iff k is odd, across word boundaries
     rows = [5, 5, 5, 0, 0, 7, 7, 7, 7, 2]
     cols = [64, 64, 64, 63, 63, 129, 129, 129, 129, 0]
-    z = BitMatrix.from_entries(8, 130, rows, cols)
+    z = BitMatrix(8, 130, rows, cols)
     assert [(i, j) for i, j in zip(*np.nonzero(z.to_dense()))] == [(2, 0), (5, 64)]
     # index arrays broadcast: column c gets rows r[c, 0] .. r[c, 2]
     r = np.array([[0, 1, 1], [2, 3, 0]])
-    assert (BitMatrix.from_entries(4, 2, r, np.arange(2)[:, None])
+    assert (BitMatrix(4, 2, r, np.arange(2)[:, None])
             == BitMatrix.from_columns(4, [[0, 1, 1], [2, 3, 0]]))
     # out-of-range indices are refused, not wrapped or left as stray bits
     for rows, cols in (([0], [-1]), ([0], [3]), ([0], [64]), ([-1], [0]), ([4], [0])):
         with pytest.raises(ValueError, match="out of range"):
-            BitMatrix.from_entries(4, 3, rows, cols)
+            BitMatrix(4, 3, rows, cols)
     with pytest.raises(ValueError, match="out of range"):
         BitMatrix.from_columns(4, [[0], [-1]])
 
 
+def test_unchecked_entry_list_cannot_be_stored():
+    # a row out of range and rows not column-major, handed over as the
+    # stored form: the constructor takes index arrays and checks them
+    with pytest.raises(TypeError):
+        BitMatrix(2, 2, (np.array([1, 0, 5]), np.array([0, 0, 1])))
+    with pytest.raises(ValueError, match="out of range"):
+        BitMatrix(2, 2, np.array([1, 0, 5]), np.array([0, 0, 1]))
+
+
+def test_pair_components_reads_the_entry_list():
+    # rows 0-1 joined twice (columns 0 and 1), rows 2-3 by column 2, row 4
+    # isolated; column 3 meets rows 1, 2 and 4
+    m = BitMatrix.from_columns(5, [[0, 1], [1, 0], [2, 3], [1, 2, 4]])
+    rows, cols = m.nonzero()
+    edges = cols < 3
+    assert _pair_components(5, rows[edges], cols[edges]) == 3
+    with pytest.raises(ValueError, match=r"^column 3 is set in 3 rows, not 2$"):
+        _pair_components(5, rows, cols)
+
+
 def test_zero_dimension_rejected():
     with pytest.raises(ValueError):
-        BitMatrix.from_entries(0, 3, [], [])
+        BitMatrix(0, 3, [], [])
     with pytest.raises(ValueError):
-        BitMatrix.from_entries(3, 0, [], [])
+        BitMatrix(3, 0, [], [])
 
 
 def test_oversized_dimensions_rejected():
     # entry positions cols * n_rows + rows would overflow int64
     with pytest.raises(ValueError, match="too large"):
-        BitMatrix.from_entries(2**62, 2, [], [])
-
-
-def test_combine_codewords_trivial_cases():
-    basis = NullSpaceBasis(4, (0b0001, 0b0011))
-    assert combine_codewords(basis, [0, 0]) == 0
-    assert combine_codewords(basis, [1, 0]) == 0b0001
-    assert combine_codewords(basis, [0, 1]) == 0b0011
-    assert combine_codewords(basis, [1, 1]) == 0b0010  # e1 ^ (e1+e2) = e2
-    with pytest.raises(ValueError):
-        combine_codewords(basis, [1])
-
-
-@given(st.lists(st.integers(0, 2**20 - 1), min_size=0, max_size=8),
-       st.integers(0, 255))
-def test_combine_codewords_matches_direct_xor(vectors, mask_bits):
-    basis = NullSpaceBasis(20, tuple(vectors))
-    mask = [(mask_bits >> i) & 1 for i in range(len(vectors))]
-    expect = 0
-    for pick, v in zip(mask, vectors):
-        if pick:
-            expect ^= v
-    assert combine_codewords(basis, mask) == expect
+        BitMatrix(2**62, 2, [], [])
 
 
 def test_bit_index_helpers():

@@ -60,21 +60,21 @@ def test_identity_full_rank_gf3():
 
 def test_composite_modulus_rejected_at_construction():
     with pytest.raises(ValueError):
-        PrimeFieldMatrix.from_entries(6, 2, 2, [], [], [])
+        PrimeFieldMatrix(6, 2, 2, [], [], [])
     with pytest.raises(ValueError):
-        PrimeFieldMatrix.from_entries(1, 2, 2, [], [], [])
+        PrimeFieldMatrix(1, 2, 2, [], [], [])
 
 
 def test_modulus_beyond_int64_rejected():
     # prime, but its residues overflow int64
     with pytest.raises(ValueError, match="fit int64"):
-        PrimeFieldMatrix.from_entries(2**64 + 13, 2, 2, [], [], [])
+        PrimeFieldMatrix(2**64 + 13, 2, 2, [], [], [])
 
 
 def test_entries_out_of_range_rejected():
     for bad in (3, -1):
         with pytest.raises(ValueError, match="residues"):
-            PrimeFieldMatrix.from_entries(3, 2, 2, [0, 1], [1, 0], [1, bad])
+            PrimeFieldMatrix(3, 2, 2, [0, 1], [1, 0], [1, bad])
 
 
 def test_rank_matches_naive_reference_gf5():
@@ -150,19 +150,27 @@ def test_sampled_bases_pinned():
 def test_from_entries():
     dense = np.array([[0, 4], [2, 0], [1, 3]])
     rows, cols = np.nonzero(dense)
-    m = PrimeFieldMatrix.from_entries(5, 3, 2, rows[::-1], cols[::-1], dense[rows, cols][::-1])
+    m = PrimeFieldMatrix(5, 3, 2, rows[::-1], cols[::-1], dense[rows, cols][::-1])
     assert m == PrimeFieldMatrix.from_dense(dense, 5)
     assert np.array_equal(m.entries, dense)
     # index and value arrays broadcast; zero values are dropped, and the
     # entries are kept column-major
-    m = PrimeFieldMatrix.from_entries(5, 3, 2, [[0], [2]], [0, 1], [[0, 4], [1, 3]])
+    m = PrimeFieldMatrix(5, 3, 2, [[0], [2]], [0, 1], [[0, 4], [1, 3]])
     assert m.entries.tolist() == [[0, 4], [0, 0], [1, 3]]
     assert list(zip(*(a.tolist() for a in m.nonzero()))) == [(2, 0, 1), (0, 1, 4), (2, 1, 3)]
     for bad in (([0, 0], [1, 1], [1, 2]),  # a position given twice
                 ([3], [0], [1]), ([-1], [0], [1]), ([0], [2], [1]),  # out of range
                 ([0], [0], [5]), ([0], [0], [-1])):  # not a residue
         with pytest.raises(ValueError):
-            PrimeFieldMatrix.from_entries(5, 3, 2, *bad)
+            PrimeFieldMatrix(5, 3, 2, *bad)
+
+
+def test_unchecked_entry_list_cannot_be_stored():
+    entries = (np.array([1, 0, 5]), np.array([0, 0, 1]), np.array([1, 1, 1]))
+    with pytest.raises(TypeError):
+        PrimeFieldMatrix(3, 2, 2, entries)
+    with pytest.raises(ValueError, match="out of range"):
+        PrimeFieldMatrix(3, 2, 2, *entries)
 
 
 def test_rank_allocates_no_dense_lane_buffer():

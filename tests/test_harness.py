@@ -80,7 +80,7 @@ class TestDeterminism:
                                       master_seed=20260809)
                     for trial in range(50):
                         rank, basis = gf2_rank_nullspace(sample_gf2(cfg, trial).matrix)
-                        vectors = " ".join(map(hex, basis.vectors))
+                        vectors = " ".join(map(hex, basis))
                         h.update(f"{cfg.tag()} {trial} {rank} {vectors}\n".encode())
         assert (h.hexdigest()
                 == "0faa98200ab20ff32061dab036767cf54ea97abd79d57cf5930595951b0247a8")

@@ -124,7 +124,7 @@ def greedy_large_basis(codewords: list[tuple[int, int]], small_supports: list[in
     iff it does not reduce to zero against the smalls and earlier ones.
     """
     large = [c for c, w in codewords if w > omega and in_large_window(w, n, window_a)]
-    reduced = list(_reduce([*small_supports, *large], 0))[len(small_supports):]
+    reduced = list(_reduce([*small_supports, *large]))[len(small_supports):]
     return [c for c, v in zip(large, reduced) if v]
 
 

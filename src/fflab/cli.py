@@ -1,8 +1,8 @@
 """Operator surface: theory tables, campaigns, matrix analysis, audits.
 
 Exit codes: 0 success, 1 a configured acceptance threshold failed,
-2 usage or parse error (including a size, count or tolerance out of
-range).  Master seeds are echoed into every output so
+2 usage or parse error (including a size, count, tolerance or analysis
+parameter out of range).  Master seeds are echoed into every output so
 any run can be reproduced exactly.
 """
 from __future__ import annotations
@@ -13,7 +13,7 @@ import json
 import sys
 
 from . import theory
-from .analyzer import analyze_matrix, default_omega
+from .analyzer import analyze_matrix
 from .gf2 import BitMatrix
 from .gfp import PrimeFieldMatrix, gfp_rank
 from .harness import (
@@ -46,11 +46,25 @@ def _positive_int_list(text: str) -> list[int]:
     return [_positive_int(x) for x in text.split(",")]
 
 
+def _positive_float(text: str) -> float:
+    """argparse type for a float > 0 (nan is refused too)."""
+    value = float(text)
+    if not value > 0:
+        raise argparse.ArgumentTypeError(f"must be > 0, got {value}")
+    return value
+
+
+def _usage_error(message: object) -> int:
+    """Report a usage error on stderr; returns its exit code, 2."""
+    print(f"error: {message}", file=sys.stderr)
+    return 2
+
+
 def _add_model_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--n", type=_positive_int, default=500, help="row count (default 500)")
     p.add_argument("--r", type=int, default=1, help="column blocks per row (default 1)")
     p.add_argument("--s", type=int, default=3, help="column weight parameter (default 3)")
-    p.add_argument("--replacement", choices=["with", "without"], default="without")
+    p.add_argument("--replacement", choices=theory.REPLACEMENTS, default=theory.WITHOUT)
     p.add_argument("--field", choices=["gf2", "gfp"], default="gf2")
     p.add_argument("--p", type=int, default=None, help="prime modulus for --field gfp")
     p.add_argument("--gft-model", type=int, choices=[1, 2, 3], default=None)
@@ -60,11 +74,11 @@ def _add_model_flags(p: argparse.ArgumentParser) -> None:
 
 
 def _add_analysis_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--omega", type=int, default=None,
+    p.add_argument("--omega", type=_nonnegative_int, default=None,
                    help="small/large threshold (default ceil(ln^2 n))")
-    p.add_argument("--window-a", type=float, default=4.0,
+    p.add_argument("--window-a", type=_positive_float, default=4.0,
                    help="large-band window constant a (default 4)")
-    p.add_argument("--guard", type=int, default=20,
+    p.add_argument("--guard", type=_nonnegative_int, default=20,
                    help="codeword enumeration guard (default 20)")
 
 
@@ -78,48 +92,36 @@ def _config_from_args(args) -> ModelConfig:
 
 
 def _write_table_csv(table: theory.TheoryTable, prefix: str) -> list[str]:
+    files = [
+        ("scalars", ["key", "value"],
+         [["model", table.model], ["phi", repr(table.phi)], ["tol", repr(table.tol)],
+          ["phi_terms", table.phi_terms], ["pi_factors", table.pi_factors],
+          ["full_rank_probability", repr(table.full_rank_probability)]]),
+        ("pi", ["k", "pi"], enumerate(table.pi)),
+        ("corank", ["d", "probability"], enumerate(table.corank)),
+        ("joint", ["sigma", "lambda", "probability"],
+         ((*key, v) for key, v in sorted(table.joint.items()))),
+        ("pstar", ["h", "r", "m", "probability"],
+         ((*key, v) for key, v in sorted(table.p_star.items()))),
+    ]
     paths = []
-    with open(f"{prefix}_scalars.csv", "w", newline="") as f:
-        w = csv.writer(f)
-        w.writerow(["key", "value"])
-        w.writerows([["model", table.model], ["phi", repr(table.phi)],
-                     ["tol", repr(table.tol)], ["phi_terms", table.phi_terms],
-                     ["pi_factors", table.pi_factors],
-                     ["full_rank_probability", repr(table.full_rank_probability)]])
-    paths.append(f"{prefix}_scalars.csv")
-    with open(f"{prefix}_pi.csv", "w", newline="") as f:
-        w = csv.writer(f)
-        w.writerow(["k", "pi"])
-        w.writerows(enumerate(table.pi))
-    paths.append(f"{prefix}_pi.csv")
-    with open(f"{prefix}_corank.csv", "w", newline="") as f:
-        w = csv.writer(f)
-        w.writerow(["d", "probability"])
-        w.writerows(enumerate(table.corank))
-    paths.append(f"{prefix}_corank.csv")
-    with open(f"{prefix}_joint.csv", "w", newline="") as f:
-        w = csv.writer(f)
-        w.writerow(["sigma", "lambda", "probability"])
-        w.writerows((s, l, v) for (s, l), v in sorted(table.joint.items()))
-    paths.append(f"{prefix}_joint.csv")
-    with open(f"{prefix}_pstar.csv", "w", newline="") as f:
-        w = csv.writer(f)
-        w.writerow(["h", "r", "m", "probability"])
-        w.writerows((h, r, m, v) for (h, r, m), v in sorted(table.p_star.items()))
-    paths.append(f"{prefix}_pstar.csv")
+    for suffix, header, rows in files:
+        paths.append(f"{prefix}_{suffix}.csv")
+        with open(paths[-1], "w", newline="") as f:
+            w = csv.writer(f)
+            w.writerow(header)
+            w.writerows(rows)
     return paths
 
 
 def cmd_theory(args) -> int:
     if args.gft:
         if args.gamma is None:
-            print("error: --gft requires --gamma", file=sys.stderr)
-            return 2
+            return _usage_error("--gft requires --gamma")
         try:
             value = theory.phi_t(args.gamma, args.tol)
         except ValueError as e:
-            print(f"error: {e}", file=sys.stderr)
-            return 2
+            return _usage_error(e)
         print(f"phi_t(gamma={args.gamma}) = {value:.6f}")
         if args.out:
             with open(args.out, "w") as f:
@@ -129,8 +131,7 @@ def cmd_theory(args) -> int:
     try:
         table = theory.build_table(model=args.replacement, d_max=args.dmax, tol=args.tol)
     except ValueError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
+        return _usage_error(e)
     print(f"model: {table.model} replacement")
     print(f"phi = {table.phi:.4f}")
     print(f"pi(0) = {table.pi[0]:.4f}")
@@ -153,12 +154,9 @@ def cmd_simulate(args) -> int:
     try:
         cfg = _config_from_args(args)
     except ValueError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
+        return _usage_error(e)
     if args.check and (cfg.field != "gf2" or cfg.r != 1 or cfg.s != 3):
-        print("error: --check applies to the r=1, s=3 GF(2) models",
-              file=sys.stderr)
-        return 2
+        return _usage_error("--check applies to the r=1, s=3 GF(2) models")
     records, summary = run_campaign(cfg, trials=args.trials, workers=args.workers,
                                     omega=args.omega, window_a=args.window_a,
                                     guard=args.guard)
@@ -208,23 +206,18 @@ def cmd_analyze(args) -> int:
             with open(args.matrix) as f:
                 text = f.read()
         except OSError as e:
-            print(f"error: {e}", file=sys.stderr)
-            return 2
+            return _usage_error(e)
         try:
             m = parse_matrix(text)
         except MatrixParseError as e:
-            print(f"error: {args.matrix}: {e}", file=sys.stderr)
-            return 2
+            return _usage_error(f"{args.matrix}: {e}")
     else:
         if args.trial is None:
-            print("error: provide --matrix PATH or model flags with --trial",
-                  file=sys.stderr)
-            return 2
+            return _usage_error("provide --matrix PATH or model flags with --trial")
         try:
             cfg = _config_from_args(args)
         except ValueError as e:
-            print(f"error: {e}", file=sys.stderr)
-            return 2
+            return _usage_error(e)
         m = sample(cfg, args.trial).matrix
     if isinstance(m, PrimeFieldMatrix):
         rank = gfp_rank(m)
@@ -253,8 +246,7 @@ def cmd_audit(args) -> int:
         for family in families:
             audit_config(family, args.n, args.seed)
     except ValueError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
+        return _usage_error(e)
     results = special_case_audits(families, n=args.n, trials=args.trials,
                                   master_seed=args.seed, workers=args.workers)
     print(f"seed={args.seed}")
@@ -297,7 +289,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = ap.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("theory", help="compute exact limiting tables")
-    p.add_argument("--replacement", choices=["with", "without"], default="without")
+    p.add_argument("--replacement", choices=theory.REPLACEMENTS, default=theory.WITHOUT)
     p.add_argument("--gft", action="store_true", help="evaluate phi_t instead")
     p.add_argument("--gamma", type=float, default=None)
     p.add_argument("--dmax", type=_nonnegative_int, default=12)
@@ -310,7 +302,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_model_flags(p)
     _add_analysis_flags(p)
     p.add_argument("--trials", type=_positive_int, default=1000)
-    p.add_argument("--workers", type=int, default=1)
+    p.add_argument("--workers", type=_positive_int, default=1)
     p.add_argument("--dmax", type=_nonnegative_int, default=12)
     p.add_argument("--records", type=str, default=None, help="JSONL record path")
     p.add_argument("--out", type=str, default=None, help="summary output path")
@@ -333,15 +325,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=_positive_int, default=500)
     p.add_argument("--trials", type=_positive_int, default=1000)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--workers", type=int, default=1)
+    p.add_argument("--workers", type=_positive_int, default=1)
     p.set_defaults(fn=cmd_audit)
 
     p = sub.add_parser("sweep", help="convergence sweep over n")
     p.add_argument("--n-list", type=_positive_int_list, default="250,500,1000,2000")
-    p.add_argument("--replacement", choices=["with", "without"], default="without")
+    p.add_argument("--replacement", choices=theory.REPLACEMENTS, default=theory.WITHOUT)
     p.add_argument("--trials", type=_positive_int, default=2000)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--workers", type=int, default=1)
+    p.add_argument("--workers", type=_positive_int, default=1)
     p.add_argument("--dmax", type=_nonnegative_int, default=12)
     p.add_argument("--out", type=str, default=None)
     p.set_defaults(fn=cmd_sweep)

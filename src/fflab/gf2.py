@@ -140,25 +140,16 @@ class BitMatrix:
                 and all(map(np.array_equal, self._entries, other._entries)))
 
 
-def gf2_vecmat(x: int, m: BitMatrix) -> int:
-    """x M over GF(2): XOR of the rows of m selected by the bits of x."""
-    rows, cols = m.nonzero()
-    picked = np.zeros(m.n_rows, dtype=bool)
-    picked[bit_indices(x)] = True
-    hits = cols[picked[rows]]
-    return _xor_pack(1, np.zeros_like(hits), hits)[0]
-
-
-def _reduce(rows: Iterable[int], stop: int) -> Iterator[int]:
+def _reduce(rows: Iterable[int]) -> Iterator[int]:
     """Reduce each row against the pivots of the rows before it, keyed by
-    leading bit; a row that keeps a bit at or above ``stop`` becomes a
-    pivot.  Yields the reduced rows, in row order, as they are reduced,
-    so a caller may stop early."""
+    leading bit; a row that does not reduce to zero becomes a pivot.
+    Yields the reduced rows, in row order, as they are reduced, so a
+    caller may stop early."""
     pivots: dict[int, int] = {}
     get = pivots.get  # bound once: this loop is the engine's hot path
     for v in rows:
         lead = v.bit_length() - 1
-        while lead >= stop:
+        while lead >= 0:
             hit = get(lead)
             if hit is None:
                 pivots[lead] = v
@@ -197,7 +188,7 @@ def gf2_rank_nullspace(m: BitMatrix) -> tuple[int, tuple[int, ...]]:
     label = np.empty(nr, dtype=np.intp)
     label[order] = np.arange(nr)
     pivots: dict[int, int] = {}
-    for v in _reduce(_xor_pack(m.n_cols, cols, label[rows]), 0):
+    for v in _reduce(_xor_pack(m.n_cols, cols, label[rows])):
         if v:
             pivots[v.bit_length() - 1] = v
             if len(pivots) == nr:  # full rank: the other columns are in the span
@@ -224,7 +215,7 @@ def _canonical(vectors: list[int]) -> tuple[int, ...]:
     """Reduced echelon form keyed by top bit, in ascending order, of a
     list of independent vectors: each vector keeps its own top bit and
     no other vector's."""
-    out = sorted(_reduce(vectors, 0))
+    out = sorted(_reduce(vectors))
     for k, v in enumerate(out):
         top = 1 << (v.bit_length() - 1)
         for i in range(k + 1, len(out)):

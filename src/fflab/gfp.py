@@ -133,19 +133,6 @@ class PrimeFieldMatrix:
                 and all(map(np.array_equal, self._entries, other._entries)))
 
 
-def gfp_vecmat(x: np.ndarray, m: PrimeFieldMatrix) -> np.ndarray:
-    """x M mod p for a length-n_rows residue vector x.
-
-    Sums over the nonzero entries in Python ints, so it is exact for
-    every prime (int64 products overflow once p^2 > 2^63).
-    """
-    xs = np.asarray(x, dtype=np.int64).tolist()
-    acc = [0] * m.n_cols
-    for r, c, v in zip(*(a.tolist() for a in m.nonzero())):
-        acc[c] += xs[r] * v
-    return np.array([a % m.p for a in acc], dtype=np.int64)
-
-
 class _Lanes:
     """Lane layout and lane-wise reduction mod p for packed vectors.
 
@@ -193,10 +180,10 @@ class _Lanes:
             out[i] |= v << (c * w)
         return out
 
-    def unpack(self, v: int, n_lanes: int) -> np.ndarray:
-        """Lanes 0 .. n_lanes-1 of v as an int64 residue vector."""
-        lanes = np.frombuffer(v.to_bytes(n_lanes * self.w // 8, "little"), dtype=self.dtype)
-        return lanes.reshape(n_lanes, -1)[:, 0].astype(np.int64)
+    def unpack(self, v: int) -> np.ndarray:
+        """Every lane of v, as an int64 residue vector."""
+        lanes = np.frombuffer(v.to_bytes(self.n_lanes * self.w // 8, "little"), dtype=self.dtype)
+        return lanes.reshape(self.n_lanes, -1)[:, 0].astype(np.int64)
 
 
 def _eliminate(vectors: Iterable[int], lanes: _Lanes) -> dict[int, int]:
@@ -292,7 +279,7 @@ def gfp_rank_nullspace(m: PrimeFieldMatrix) -> tuple[int, list[np.ndarray]]:
         x = np.array(x, dtype=np.int64)
         support = np.flatnonzero(x)  # labels; order[support] are the original rows
         vectors += lanes.pack(1, np.zeros_like(support), order[support], x[support])
-    return len(pivots), [lanes.unpack(v, nr) for v in _canonical(vectors, lanes)]
+    return len(pivots), [lanes.unpack(v) for v in _canonical(vectors, lanes)]
 
 
 def _canonical(vectors: list[int], lanes: _Lanes) -> list[int]:

@@ -23,9 +23,7 @@ import numpy as np
 
 from .gf2 import BitMatrix, _pair_components
 from .gfp import PrimeFieldMatrix, is_prime
-
-WITH = "with"
-WITHOUT = "without"
+from .theory import REPLACEMENTS, WITH, WITHOUT
 
 
 @dataclass(frozen=True)
@@ -49,7 +47,7 @@ class ModelConfig:
             raise ValueError("r must be >= 1")
         if self.s < 2:
             raise ValueError("s must be >= 2")
-        if self.replacement not in (WITH, WITHOUT):
+        if self.replacement not in REPLACEMENTS:
             raise ValueError(f"unknown replacement mode {self.replacement!r}")
         if self.replacement == WITHOUT and self.s - 1 > self.n - 1:
             raise ValueError("without replacement requires s-1 <= n-1")

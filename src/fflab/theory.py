@@ -31,13 +31,14 @@ from mpmath import mp, mpf
 
 WITH = "with"
 WITHOUT = "without"
+REPLACEMENTS = (WITH, WITHOUT)  # the replacement modes, here and in models
 
 _PRODUCT_TRUNC = 1e-15   # drop product factors within this of unity
 _MAX_TERMS = 100_000
 
 
 def _check_model(model: str) -> None:
-    if model not in (WITH, WITHOUT):
+    if model not in REPLACEMENTS:
         raise ValueError(f"model must be '{WITH}' or '{WITHOUT}', got {model!r}")
 
 

@@ -145,6 +145,27 @@ def left_nullity_dense(dense: np.ndarray, p: int = 2) -> int:
     return a.shape[1] - r
 
 
+def gf2_vecmat(x: int, m) -> int:
+    """x M over GF(2) for a BitMatrix m, read entry by entry off
+    m.nonzero(): bit i of x selects row i, and bit j of the result is the
+    parity of the selected set entries in column j."""
+    out = 0
+    for r, c in zip(*(a.tolist() for a in m.nonzero())):
+        out ^= (x >> r & 1) << c
+    return out
+
+
+def gfp_vecmat(x, m) -> np.ndarray:
+    """x M mod p for a PrimeFieldMatrix m and a length-n_rows residue
+    vector x, summed entry by entry off m.nonzero() in Python ints, so it
+    is exact for every prime (int64 products overflow once p^2 > 2^63)."""
+    xs = np.asarray(x, dtype=np.int64).tolist()
+    acc = [0] * m.n_cols
+    for r, c, v in zip(*(a.tolist() for a in m.nonzero())):
+        acc[c] += xs[r] * v
+    return np.array([a % m.p for a in acc], dtype=np.int64)
+
+
 @functools.lru_cache(maxsize=None)
 def _subspace_levels(m: int) -> list[set[frozenset[int]]]:
     """All subspaces of GF(2)^m, grouped by dimension, by breadth-first

@@ -1,3 +1,4 @@
+import importlib.util
 import json
 import os
 import subprocess
@@ -197,6 +198,14 @@ class TestUsageErrors:
         (("audit", "--n", "0"), "--n"),
         (("theory", "--dmax", "-1"), "--dmax"),
         (("simulate", "--check", "--dmax", "-1"), "--dmax"),
+        (("simulate", "--n", "50", "--trials", "2", "--window-a", "-1"), "--window-a"),
+        (("simulate", "--window-a", "nan"), "--window-a"),
+        (("analyze", "--window-a", "-1"), "--window-a"),
+        (("analyze", "--omega", "-3"), "--omega"),
+        (("simulate", "--guard", "-1", "--check"), "--guard"),
+        (("simulate", "--workers", "0"), "--workers"),
+        (("audit", "--workers", "-2"), "--workers"),
+        (("sweep", "--workers", "0"), "--workers"),
     ])
     def test_out_of_range_value_exits_2(self, argv, flag, capsys):
         with pytest.raises(SystemExit) as e:
@@ -208,6 +217,48 @@ class TestUsageErrors:
     def test_nonpositive_tol_exits_2(self, tol, capsys):
         assert run_cli("theory", "--tol", tol) == 2
         assert "tol must be positive" in capsys.readouterr().err
+
+
+def _headline_script():
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    path = os.path.join(root, "scripts", "reproduce_headline.py")
+    spec = importlib.util.spec_from_file_location("reproduce_headline", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+class TestHeadlineScript:
+    SIZE = ("--n", "60", "--trials", "200", "--seed", "7", "--workers", "2")
+
+    def test_writes_what_simulate_writes(self, tmp_path, capsys):
+        out_dir = tmp_path / "headline"
+        # at this size the TV checks fail, so the headline step fails
+        assert _headline_script().main([*self.SIZE, "--out-dir", str(out_dir)]) == 1
+        assert "check tv_corank: FAIL" in capsys.readouterr().out
+        records, summary = tmp_path / "records.jsonl", tmp_path / "summary.json"
+        assert run_cli("simulate", *self.SIZE, "--records", str(records),
+                       "--out", str(summary)) == 0
+        assert (out_dir / "records.jsonl").read_bytes() == records.read_bytes()
+
+        def without_wall(path):
+            return [line for line in path.read_text().splitlines() if '"wall_s"' not in line]
+
+        assert without_wall(out_dir / "summary.json") == without_wall(summary)
+
+    def test_gf3model1_failure_alone_exits_0(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr(cli, "cmd_simulate", lambda args: 0)
+        argv = [*self.SIZE, "--out-dir", str(tmp_path)]
+        assert _headline_script().main(argv) == 0
+        fails = [line for line in capsys.readouterr().out.splitlines() if "FAIL" in line]
+        assert len(fails) == 1 and fails[0].startswith("gf3model1: n=60 trials=1000 ")
+
+    @pytest.mark.parametrize("family, code", [("r2s3", 1), ("gf3model1", 2)])
+    def test_other_audit_failures_exit_1(self, family, code, tmp_path, monkeypatch):
+        # any other family's failure counts, and so does a gf3model1 usage error
+        monkeypatch.setattr(cli, "cmd_simulate", lambda args: 0)
+        monkeypatch.setattr(cli, "cmd_audit", lambda args: code if args.family == family else 0)
+        assert _headline_script().main([*self.SIZE, "--out-dir", str(tmp_path)]) == 1
 
 
 def test_cold_start_loads_no_scipy():

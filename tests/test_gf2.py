@@ -10,11 +10,10 @@ from fflab.gf2 import (
     _pair_components,
     bit_indices,
     gf2_rank_nullspace,
-    gf2_vecmat,
     indices_to_bits,
 )
 from fflab.models import ModelConfig, sample_gf2
-from oracles import left_nullspace_canonical_dense, rank_mod2_dense
+from oracles import gf2_vecmat, left_nullspace_canonical_dense, rank_mod2_dense
 
 
 def random_dense(rng, n_rows, n_cols):

@@ -1,7 +1,7 @@
 """fflab: finite-field random-matrix laboratory.
 
 Samples sparse incidence-matrix models over GF(2) and prime fields,
-computes rank and left-null-space structure with bit-packed elimination,
+computes rank and left-null-space structure by sparse column elimination,
 and reconciles empirical co-rank/dependency statistics against exact
 limiting laws via seeded Monte Carlo.
 """
@@ -9,7 +9,6 @@ from .gf2 import BitMatrix, gf2_rank_nullspace
 from .gfp import PrimeFieldMatrix, gfp_rank, gfp_rank_nullspace
 from .models import (
     ModelConfig,
-    SampledMatrix,
     functional_graph_components,
     parse_matrix,
     sample,
@@ -42,7 +41,6 @@ __all__ = [
     "gfp_rank",
     "gfp_rank_nullspace",
     "ModelConfig",
-    "SampledMatrix",
     "functional_graph_components",
     "parse_matrix",
     "sample",

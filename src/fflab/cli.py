@@ -13,7 +13,7 @@ import json
 import sys
 
 from . import theory
-from .analyzer import analyze_matrix
+from .analyzer import GuardExceeded, analyze_matrix
 from .gf2 import BitMatrix
 from .gfp import PrimeFieldMatrix, gfp_rank
 from .harness import (
@@ -65,12 +65,12 @@ def _add_model_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--r", type=int, default=1, help="column blocks per row (default 1)")
     p.add_argument("--s", type=int, default=3, help="column weight parameter (default 3)")
     p.add_argument("--replacement", choices=theory.REPLACEMENTS, default=theory.WITHOUT)
-    p.add_argument("--field", choices=["gf2", "gfp"], default="gf2")
-    p.add_argument("--p", type=int, default=None, help="prime modulus for --field gfp")
+    p.add_argument("--p", type=int, default=None,
+                   help="prime modulus; selects the GF(p) models")
     p.add_argument("--gft-model", type=int, choices=[1, 2, 3], default=None)
     p.add_argument("--f-dist", type=str, default=None,
                    help="comma-separated probabilities for residues 1..p-1")
-    p.add_argument("--seed", type=int, default=0, help="master seed (default 0)")
+    p.add_argument("--seed", type=_nonnegative_int, default=0, help="master seed (default 0)")
 
 
 def _add_analysis_flags(p: argparse.ArgumentParser) -> None:
@@ -87,7 +87,7 @@ def _config_from_args(args) -> ModelConfig:
     if args.f_dist:
         f_dist = tuple(float(x) for x in args.f_dist.split(","))
     return ModelConfig(n=args.n, r=args.r, s=args.s, replacement=args.replacement,
-                       field=args.field, p=args.p, gft_model=args.gft_model,
+                       p=args.p, gft_model=args.gft_model,
                        f_dist=f_dist, master_seed=args.seed)
 
 
@@ -155,7 +155,7 @@ def cmd_simulate(args) -> int:
         cfg = _config_from_args(args)
     except ValueError as e:
         return _usage_error(e)
-    if args.check and (cfg.field != "gf2" or cfg.r != 1 or cfg.s != 3):
+    if args.check and (cfg.p is not None or cfg.r != 1 or cfg.s != 3):
         return _usage_error("--check applies to the r=1, s=3 GF(2) models")
     records, summary = run_campaign(cfg, trials=args.trials, workers=args.workers,
                                     omega=args.omega, window_a=args.window_a,
@@ -218,7 +218,7 @@ def cmd_analyze(args) -> int:
             cfg = _config_from_args(args)
         except ValueError as e:
             return _usage_error(e)
-        m = sample(cfg, args.trial).matrix
+        m = sample(cfg, args.trial)
     if isinstance(m, PrimeFieldMatrix):
         rank = gfp_rank(m)
         print(f"gfp p={m.p} n_rows={m.n_rows} n_cols={m.n_cols}")
@@ -226,8 +226,11 @@ def cmd_analyze(args) -> int:
         out = {"p": m.p, "rank": rank, "corank": m.n_rows - rank}
     else:
         assert isinstance(m, BitMatrix)
-        rep = analyze_matrix(m, omega=args.omega, window_a=args.window_a,
-                             guard=args.guard)
+        try:
+            rep = analyze_matrix(m, omega=args.omega, window_a=args.window_a,
+                                 guard=args.guard)
+        except GuardExceeded as e:
+            return _usage_error(e)
         print(f"gf2 n_rows={m.n_rows} n_cols={m.n_cols}")
         print(f"rank={rep.rank} corank={rep.d} sigma={rep.sigma} lambda={rep.lam}")
         print(f"weights={rep.weights}")
@@ -316,7 +319,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_model_flags(p)
     _add_analysis_flags(p)
     p.add_argument("--matrix", type=str, default=None, help="matrix fixture path")
-    p.add_argument("--trial", type=int, default=None, help="replay trial index")
+    p.add_argument("--trial", type=_nonnegative_int, default=None,
+                   help="replay trial index")
     p.add_argument("--out", type=str, default=None)
     p.set_defaults(fn=cmd_analyze)
 
@@ -324,7 +328,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--family", choices=list(AUDIT_FAMILIES) + ["all"], default="all")
     p.add_argument("--n", type=_positive_int, default=500)
     p.add_argument("--trials", type=_positive_int, default=1000)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_nonnegative_int, default=0)
     p.add_argument("--workers", type=_positive_int, default=1)
     p.set_defaults(fn=cmd_audit)
 
@@ -332,7 +336,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n-list", type=_positive_int_list, default="250,500,1000,2000")
     p.add_argument("--replacement", choices=theory.REPLACEMENTS, default=theory.WITHOUT)
     p.add_argument("--trials", type=_positive_int, default=2000)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_nonnegative_int, default=0)
     p.add_argument("--workers", type=_positive_int, default=1)
     p.add_argument("--dmax", type=_nonnegative_int, default=12)
     p.add_argument("--out", type=str, default=None)

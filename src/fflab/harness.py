@@ -23,9 +23,9 @@ from typing import Callable, Iterable, NamedTuple, Sequence
 import mpmath
 
 from .analyzer import GuardExceeded, analyze_matrix, default_omega
-from .gf2 import gf2_rank_nullspace
+from .gf2 import BitMatrix, gf2_rank_nullspace
 from .gfp import PrimeFieldMatrix, gfp_rank
-from .models import ModelConfig, SampledMatrix, functional_graph_components, sample
+from .models import ModelConfig, functional_graph_components, sample
 from .theory import TheoryTable
 
 # Headline statistical thresholds (binomial sampling error at the stated
@@ -70,7 +70,7 @@ def run_trial(cfg: ModelConfig, trial: int, omega: int | None = None,
               window_a: float = 4.0, guard: int = 20) -> TrialRecord:
     """Sample one matrix, eliminate, analyse; never raises on guard hits."""
     t0 = time.perf_counter()
-    m = sample(cfg, trial).matrix
+    m = sample(cfg, trial)
     if isinstance(m, PrimeFieldMatrix):
         rank = gfp_rank(m)
         found = {"rank": rank, "corank": m.n_rows - rank}
@@ -343,20 +343,19 @@ def headline_checks(summary: CampaignSummary, fit: FitReport,
 
 
 class _Audit(NamedTuple):
-    config: dict                                     # ModelConfig fields but n, seed
-    violation: Callable[[SampledMatrix, int], bool]  # (sample, corank) -> exact miss
-    hit: Callable[[int], bool] | None                # corank -> target; None: exact
+    config: dict                                 # ModelConfig fields but n, seed
+    violation: Callable[[BitMatrix | PrimeFieldMatrix, int], bool]  # -> exact miss
+    hit: Callable[[int], bool] | None            # corank -> target; None: exact
 
 
 _AUDITS = {
     # s=2: the co-rank is the component count of the functional graph
     "r1s2": _Audit({"r": 1, "s": 2},
-                   lambda sm, d: d != functional_graph_components(sm), None),
+                   lambda m, d: d != functional_graph_components(m), None),
     # s even: the all-ones vector annihilates every column, so corank >= 1
-    "r2s2": _Audit({"r": 2, "s": 2}, lambda sm, d: d < 1, lambda d: d == 1),
-    "r2s3": _Audit({"r": 2, "s": 3}, lambda sm, d: False, lambda d: d == 0),
-    "gf3model1": _Audit({"field": "gfp", "p": 3, "gft_model": 1},
-                        lambda sm, d: d < 1, lambda d: d == 1),
+    "r2s2": _Audit({"r": 2, "s": 2}, lambda m, d: d < 1, lambda d: d == 1),
+    "r2s3": _Audit({"r": 2, "s": 3}, lambda m, d: False, lambda d: d == 0),
+    "gf3model1": _Audit({"p": 3, "gft_model": 1}, lambda m, d: d < 1, lambda d: d == 1),
 }
 AUDIT_FAMILIES = tuple(_AUDITS)
 
@@ -381,13 +380,12 @@ class AuditResult:
 def _audit_trial(family: str, cfg: ModelConfig, trial: int) -> tuple[int, int]:
     """Returns (violation, hit) for one trial of an audit family."""
     audit = _AUDITS[family]
-    sm = sample(cfg, trial)
-    m = sm.matrix
+    m = sample(cfg, trial)
     if isinstance(m, PrimeFieldMatrix):
         corank = m.n_rows - gfp_rank(m)
     else:
         corank = len(gf2_rank_nullspace(m)[1])
-    return (int(audit.violation(sm, corank)),
+    return (int(audit.violation(m, corank)),
             0 if audit.hit is None else int(audit.hit(corank)))
 
 

@@ -34,9 +34,8 @@ class ModelConfig:
     r: int = 1
     s: int = 3
     replacement: str = WITHOUT
-    field: str = "gf2"             # "gf2" | "gfp"
-    p: int | None = None           # prime modulus for field="gfp"
-    gft_model: int | None = None   # 1 | 2 | 3 for field="gfp"
+    p: int | None = None           # prime modulus; set exactly for GF(p) models
+    gft_model: int | None = None   # 1 | 2 | 3 for GF(p)
     f_dist: tuple[float, ...] | None = None  # probs of residues 1..p-1
     master_seed: int = 0
 
@@ -47,33 +46,35 @@ class ModelConfig:
             raise ValueError("r must be >= 1")
         if self.s < 2:
             raise ValueError("s must be >= 2")
+        if self.master_seed < 0:
+            raise ValueError("master_seed must be >= 0")
         if self.replacement not in REPLACEMENTS:
             raise ValueError(f"unknown replacement mode {self.replacement!r}")
         if self.replacement == WITHOUT and self.s - 1 > self.n - 1:
             raise ValueError("without replacement requires s-1 <= n-1")
-        if self.field == "gf2":
-            if self.p is not None or self.gft_model is not None:
-                raise ValueError("p/gft_model are only valid with field='gfp'")
-        elif self.field == "gfp":
-            if self.p is None or not is_prime(self.p):
-                raise ValueError("field='gfp' requires a prime modulus p")
-            if self.gft_model not in (1, 2, 3):
-                raise ValueError("gft_model must be 1, 2 or 3")
-            if self.s != 3 or self.replacement != WITHOUT or self.r != 1:
-                raise ValueError("gfp models are defined for r=1, s=3, without replacement")
-            if self.f_dist is not None:
-                f = self.f_dist
-                if len(f) != self.p - 1:
-                    raise ValueError("f_dist must give probabilities for residues 1..p-1")
-                if any(x < 0 for x in f):
-                    raise ValueError("f_dist entries must be nonnegative")
-                if abs(sum(f) - 1.0) > 1e-12:
-                    raise ValueError("f_dist must sum to 1 within 1e-12")
-        else:
-            raise ValueError(f"unknown field {self.field!r}")
+        if self.f_dist is not None and self.gft_model not in (2, 3):
+            raise ValueError("f_dist applies only to GF(p) Models 2 and 3")
+        if self.p is None:
+            if self.gft_model is not None:
+                raise ValueError("gft_model requires a prime modulus p")
+            return
+        if not is_prime(self.p):
+            raise ValueError("p must be a prime modulus")
+        if self.gft_model not in (1, 2, 3):
+            raise ValueError("gft_model must be 1, 2 or 3")
+        if self.s != 3 or self.replacement != WITHOUT or self.r != 1:
+            raise ValueError("gfp models are defined for r=1, s=3, without replacement")
+        if self.f_dist is not None:
+            f = self.f_dist
+            if len(f) != self.p - 1:
+                raise ValueError("f_dist must give probabilities for residues 1..p-1")
+            if any(x < 0 for x in f):
+                raise ValueError("f_dist entries must be nonnegative")
+            if abs(sum(f) - 1.0) > 1e-12:
+                raise ValueError("f_dist must sum to 1 within 1e-12")
 
     def tag(self) -> str:
-        if self.field == "gf2":
+        if self.p is None:
             return f"gf2:r{self.r}:s{self.s}:{self.replacement}"
         return f"gf{self.p}:model{self.gft_model}"
 
@@ -83,13 +84,6 @@ class ModelConfig:
         if self.f_dist is None:
             return np.full(self.p - 1, 1.0 / (self.p - 1))
         return np.asarray(self.f_dist, dtype=float)
-
-
-@dataclass(frozen=True)
-class SampledMatrix:
-    matrix: BitMatrix | PrimeFieldMatrix
-    config: ModelConfig
-    trial: int
 
 
 def trial_generator(cfg: ModelConfig, trial: int) -> np.random.Generator:
@@ -125,7 +119,7 @@ def _draw_positions(rng: np.random.Generator, n: int, r: int, s: int,
     return out
 
 
-def sample_gf2(cfg: ModelConfig, trial: int) -> SampledMatrix:
+def sample_gf2(cfg: ModelConfig, trial: int) -> BitMatrix:
     """Sample the GF(2) model for one trial.
 
     Column i of block j is the XOR of a unit at row i and s-1 random
@@ -133,16 +127,15 @@ def sample_gf2(cfg: ModelConfig, trial: int) -> SampledMatrix:
     on the diagonal row cancels it), without replacement the random
     rows are distinct and never equal to i.
     """
-    if cfg.field != "gf2":
-        raise ValueError("sample_gf2 requires field='gf2'")
+    if cfg.p is not None:
+        raise ValueError("sample_gf2 requires a GF(2) model (p unset)")
     rng = trial_generator(cfg, trial)
     rn = cfg.r * cfg.n
     pos = _draw_positions(rng, cfg.n, cfg.r, cfg.s, cfg.replacement)
-    m = BitMatrix(cfg.n, rn, pos, np.arange(rn)[:, None])
-    return SampledMatrix(m, cfg, trial)
+    return BitMatrix(cfg.n, rn, pos, np.arange(rn)[:, None])
 
 
-def sample_gft(cfg: ModelConfig, trial: int) -> SampledMatrix:
+def sample_gft(cfg: ModelConfig, trial: int) -> PrimeFieldMatrix:
     """Sample the GF(p) model for one trial.
 
     Position draws consume the generator exactly like the GF(2) sampler,
@@ -151,8 +144,8 @@ def sample_gft(cfg: ModelConfig, trial: int) -> SampledMatrix:
     model has any) follow: off-diagonal values first, then diagonal
     values for Model 3.
     """
-    if cfg.field != "gfp":
-        raise ValueError("sample_gft requires field='gfp'")
+    if cfg.p is None:
+        raise ValueError("sample_gft requires a prime modulus p")
     p = cfg.p
     n = cfg.n
     rng = trial_generator(cfg, trial)
@@ -169,25 +162,25 @@ def sample_gft(cfg: ModelConfig, trial: int) -> SampledMatrix:
     else:
         dia = np.ones(n, dtype=np.int64)
     vals = np.column_stack([dia, off])  # entry 0 of pos is the diagonal
-    m = PrimeFieldMatrix(p, n, n, pos, np.arange(n)[:, None], vals)
-    return SampledMatrix(m, cfg, trial)
+    return PrimeFieldMatrix(p, n, n, pos, np.arange(n)[:, None], vals)
 
 
-def sample(cfg: ModelConfig, trial: int) -> SampledMatrix:
-    return sample_gf2(cfg, trial) if cfg.field == "gf2" else sample_gft(cfg, trial)
+def sample(cfg: ModelConfig, trial: int) -> BitMatrix | PrimeFieldMatrix:
+    return sample_gf2(cfg, trial) if cfg.p is None else sample_gft(cfg, trial)
 
 
-def functional_graph_components(sm: SampledMatrix) -> int:
+def functional_graph_components(m: BitMatrix) -> int:
     """Component count of the functional graph underlying an s=2, r=1 sample.
 
     Each column is an edge {i, f(i)} (or nothing, when a with-replacement
     column cancelled to zero); isolated vertices count as components.
     This is the independent combinatorial oracle for the s=2 co-rank.
+    Raises ValueError for a GF(p) matrix or a column set in any nonzero
+    number of rows other than 2.
     """
-    cfg = sm.config
-    if cfg.s != 2 or cfg.r != 1 or cfg.field != "gf2":
-        raise ValueError("functional graph oracle requires s=2, r=1 over GF(2)")
-    return _pair_components(cfg.n, *sm.matrix.nonzero())
+    if not isinstance(m, BitMatrix):
+        raise ValueError("functional graph oracle requires a GF(2) matrix")
+    return _pair_components(m.n_rows, *m.nonzero())
 
 
 # --- textual fixture format ---------------------------------------------

@@ -88,8 +88,8 @@ def _phi_mp(model: str, tol: float, gamma: float = 1.0) -> tuple["mpf", int]:
     """phi for `model` (scaled by the GF(t) cancellation weight gamma) and
     the series length used; callers hold mp.workdps(50)."""
     _check_model(model)
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+    if not 0 < tol < 1:  # nan fails this too
+        raise ValueError(f"tol must be positive and below 1, got {tol}")
     start, gap = (1, 1) if model == WITH else (2, 2)
     return _phi_series(2 * mpf(gamma) * mp.exp(-2), start, gap, tol)
 

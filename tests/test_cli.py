@@ -78,7 +78,7 @@ class TestSimulateCommand:
 
         monkeypatch.setattr(cli, "run_campaign", no_campaign)
         records = tmp_path / "records.jsonl"
-        for model in (("--s", "2"), ("--field", "gfp", "--p", "3", "--gft-model", "1")):
+        for model in (("--s", "2"), ("--p", "3", "--gft-model", "1")):
             code = run_cli("simulate", "--n", "50", *model, "--trials", "5",
                            "--check", "--records", str(records))
             assert code == 2
@@ -119,12 +119,12 @@ class TestAnalyzeCommand:
                        "--out", str(out)) == 0
         got = json.loads(out.read_text())
         cfg = ModelConfig(n=80, master_seed=5)
-        expect = analyze_matrix(sample(cfg, 3).matrix).to_json_dict()
+        expect = analyze_matrix(sample(cfg, 3)).to_json_dict()
         assert got == expect
 
     def test_roundtrip_through_fixture_file(self, tmp_path, capsys):
         cfg = ModelConfig(n=50, master_seed=11)
-        m = sample(cfg, 0).matrix
+        m = sample(cfg, 0)
         path = tmp_path / "m.mat"
         path.write_text(serialize_matrix(m))
         out = tmp_path / "rep.json"
@@ -133,23 +133,27 @@ class TestAnalyzeCommand:
         assert got == analyze_matrix(m).to_json_dict()
 
     def test_gfp_fixture(self, tmp_path, capsys):
-        cfg = ModelConfig(n=20, field="gfp", p=3, gft_model=1, master_seed=2)
+        cfg = ModelConfig(n=20, p=3, gft_model=1, master_seed=2)
         path = tmp_path / "m3.mat"
-        path.write_text(serialize_matrix(sample(cfg, 0).matrix))
+        path.write_text(serialize_matrix(sample(cfg, 0)))
         assert run_cli("analyze", "--matrix", str(path)) == 0
         out = capsys.readouterr().out
         assert "gfp p=3" in out
 
     def test_gfp_fixture_output_pinned(self, tmp_path, capsys):
-        cfg = ModelConfig(n=20, field="gfp", p=3, gft_model=1, master_seed=2)
+        cfg = ModelConfig(n=20, p=3, gft_model=1, master_seed=2)
         path = tmp_path / "m3.mat"
-        path.write_text(serialize_matrix(sample(cfg, 4).matrix))
+        path.write_text(serialize_matrix(sample(cfg, 4)))
         out = tmp_path / "rep.json"
         assert run_cli("analyze", "--matrix", str(path), "--out", str(out)) == 0
         assert capsys.readouterr().out == ("gfp p=3 n_rows=20 n_cols=20\n"
                                            "rank=18 corank=2\n"
                                            f"wrote {out}\n")
         assert out.read_text() == '{\n "p": 3,\n "rank": 18,\n "corank": 2\n}'
+
+    def test_guard_below_corank_exits_2(self, capsys):
+        assert run_cli("analyze", "--n", "60", "--trial", "0", "--guard", "0") == 2
+        assert "exceeds guard 0" in capsys.readouterr().err
 
     def test_requires_input(self, capsys):
         assert run_cli("analyze") == 2
@@ -206,6 +210,11 @@ class TestUsageErrors:
         (("simulate", "--workers", "0"), "--workers"),
         (("audit", "--workers", "-2"), "--workers"),
         (("sweep", "--workers", "0"), "--workers"),
+        (("simulate", "--seed", "-1"), "--seed"),
+        (("analyze", "--seed", "-1"), "--seed"),
+        (("audit", "--seed", "-1"), "--seed"),
+        (("sweep", "--seed", "-1"), "--seed"),
+        (("analyze", "--trial", "-1"), "--trial"),
     ])
     def test_out_of_range_value_exits_2(self, argv, flag, capsys):
         with pytest.raises(SystemExit) as e:
@@ -213,7 +222,7 @@ class TestUsageErrors:
         assert e.value.code == 2
         assert f"argument {flag}" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("tol", ["0", "-0.5"])
+    @pytest.mark.parametrize("tol", ["0", "-0.5", "nan", "inf", "1"])
     def test_nonpositive_tol_exits_2(self, tol, capsys):
         assert run_cli("theory", "--tol", tol) == 2
         assert "tol must be positive" in capsys.readouterr().err
@@ -270,3 +279,9 @@ def test_cold_start_loads_no_scipy():
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True).stdout
     assert out.strip() == "[]"
+
+
+def test_exports_resolve_once():
+    assert len(set(fflab.__all__)) == len(fflab.__all__)
+    for name in fflab.__all__:
+        assert hasattr(fflab, name), name

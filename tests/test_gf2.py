@@ -153,12 +153,12 @@ def test_basis_equals_oracle_on_sampled_families(r, s, replacement):
     for n in (3, 64, 65, 300):
         cfg = ModelConfig(n=n, r=r, s=s, replacement=replacement, master_seed=n)
         for trial in range(4 if n < 300 else 2):
-            m = sample_gf2(cfg, trial).matrix
+            m = sample_gf2(cfg, trial)
             assert_canonical_basis(m, m.to_dense())
 
 
 def test_elimination_allocates_no_dense_array():
-    m = sample_gf2(ModelConfig(n=4000, master_seed=4000), 0).matrix
+    m = sample_gf2(ModelConfig(n=4000, master_seed=4000), 0)
     tracemalloc.start()
     try:
         gf2_rank_nullspace(m)

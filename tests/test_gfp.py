@@ -139,9 +139,9 @@ def test_sampled_bases_pinned():
     h = hashlib.sha256()
     for n in (200, 500):
         for model, p in ((1, 3), (2, 5), (3, 7)):
-            cfg = ModelConfig(n=n, field="gfp", p=p, gft_model=model, master_seed=20260809)
+            cfg = ModelConfig(n=n, p=p, gft_model=model, master_seed=20260809)
             for trial in range(30):
-                rank, basis = gfp_rank_nullspace(sample_gft(cfg, trial).matrix)
+                rank, basis = gfp_rank_nullspace(sample_gft(cfg, trial))
                 vectors = " ".join(",".join(map(str, x.tolist())) for x in basis)
                 h.update(f"{cfg.tag()} {trial} {rank} {vectors}\n".encode())
     assert h.hexdigest() == "12da82b74b422b89c61ea3d4f0f95e0964bd60a5d4a9227e1b9f1b432a19d176"
@@ -174,7 +174,7 @@ def test_unchecked_entry_list_cannot_be_stored():
 
 
 def test_rank_allocates_no_dense_lane_buffer():
-    m = sample_gft(ModelConfig(n=2000, field="gfp", p=3, gft_model=1, master_seed=2000), 0).matrix
+    m = sample_gft(ModelConfig(n=2000, p=3, gft_model=1, master_seed=2000), 0)
     tracemalloc.start()
     try:
         gfp_rank(m)
@@ -185,8 +185,8 @@ def test_rank_allocates_no_dense_lane_buffer():
 
 
 def test_gf3_model1_all_ones_annihilates():
-    cfg = ModelConfig(n=40, field="gfp", p=3, gft_model=1, master_seed=3)
-    m = sample_gft(cfg, 0).matrix
+    cfg = ModelConfig(n=40, p=3, gft_model=1, master_seed=3)
+    m = sample_gft(cfg, 0)
     ones = np.ones(m.n_rows, dtype=np.int64)
     assert not gfp_vecmat(ones, m).any()  # every column sums to 3 = 0 mod 3
     rank, basis = gfp_rank_nullspace(m)
@@ -236,8 +236,8 @@ def test_vecmat_exact_for_large_prime():
 
 @pytest.mark.parametrize("model,p", [(1, 3), (2, 5), (3, 7)])
 def test_sampled_models_match_oracle(model, p):
-    cfg = ModelConfig(n=200, field="gfp", p=p, gft_model=model, master_seed=21)
-    m = sample_gft(cfg, 0).matrix
+    cfg = ModelConfig(n=200, p=p, gft_model=model, master_seed=21)
+    m = sample_gft(cfg, 0)
     rank, basis = gfp_rank_nullspace(m)
     assert gfp_rank(m) == rank == rank_modp_dense(m.entries, p)
     for x in basis:

@@ -79,7 +79,7 @@ class TestDeterminism:
                     cfg = ModelConfig(n=n, r=r, s=s, replacement=replacement,
                                       master_seed=20260809)
                     for trial in range(50):
-                        rank, basis = gf2_rank_nullspace(sample_gf2(cfg, trial).matrix)
+                        rank, basis = gf2_rank_nullspace(sample_gf2(cfg, trial))
                         vectors = " ".join(map(hex, basis))
                         h.update(f"{cfg.tag()} {trial} {rank} {vectors}\n".encode())
         assert (h.hexdigest()
@@ -94,7 +94,7 @@ class TestGuardHit:
         assert rec.guard_exceeded
         assert rec.sigma is None and rec.lam is None and rec.weights is None
         assert rec.corank == rec.n - rec.rank >= 1
-        assert rec.rank == gf2_rank_nullspace(sample(cfg, trial).matrix)[0]
+        assert rec.rank == gf2_rank_nullspace(sample(cfg, trial))[0]
         summary = summarize([rec, run_trial(cfg, trial)], cfg.master_seed)
         assert summary.guard_hits == 1
         assert summary.corank_hist == {rec.corank: 2}
@@ -147,7 +147,7 @@ class TestSummaries:
         assert sum(int(l.split(",")[3]) for l in corank_rows) == 20
 
     def test_gfp_records_have_no_sigma(self):
-        cfg = ModelConfig(n=30, field="gfp", p=3, gft_model=1, master_seed=4)
+        cfg = ModelConfig(n=30, p=3, gft_model=1, master_seed=4)
         records, summary = run_campaign(cfg, trials=5)
         assert all(r.sigma is None for r in records)
         assert all(r.corank >= 1 for r in records)

@@ -41,6 +41,8 @@ class TestConfigValidation:
             ModelConfig(n=10, s=1)
         with pytest.raises(ValueError):
             ModelConfig(n=10, replacement="maybe")
+        with pytest.raises(ValueError, match="master_seed"):
+            ModelConfig(n=10, master_seed=-1)
 
     def test_without_replacement_needs_room(self):
         with pytest.raises(ValueError):
@@ -49,46 +51,52 @@ class TestConfigValidation:
 
     def test_gfp_requirements(self):
         with pytest.raises(ValueError):
-            ModelConfig(n=10, field="gfp", p=4, gft_model=1)
+            ModelConfig(n=10, p=4, gft_model=1)
         with pytest.raises(ValueError):
-            ModelConfig(n=10, field="gfp", p=5, gft_model=7)
+            ModelConfig(n=10, p=5, gft_model=7)
         with pytest.raises(ValueError):
-            ModelConfig(n=10, field="gfp", p=5, gft_model=2, replacement="with")
+            ModelConfig(n=10, p=5, gft_model=2, replacement="with")
 
     def test_f_dist_validation(self):
         with pytest.raises(ValueError):
-            ModelConfig(n=10, field="gfp", p=5, gft_model=2, f_dist=(0.5, 0.5))
+            ModelConfig(n=10, p=5, gft_model=2, f_dist=(0.5, 0.5))
         with pytest.raises(ValueError):
-            ModelConfig(n=10, field="gfp", p=5, gft_model=2,
+            ModelConfig(n=10, p=5, gft_model=2,
                         f_dist=(0.5, 0.2, 0.2, 0.2))
-        ModelConfig(n=10, field="gfp", p=5, gft_model=2,
+        ModelConfig(n=10, p=5, gft_model=2,
                     f_dist=(0.25, 0.25, 0.25, 0.25))
+        # an f_dist that would change nothing: GF(2), and Model 1 (all entries 1)
+        with pytest.raises(ValueError, match="f_dist"):
+            ModelConfig(n=10, f_dist=(0.5, 0.5))
+        with pytest.raises(ValueError, match="f_dist"):
+            ModelConfig(n=10, p=3, gft_model=1, f_dist=(0.5, 0.5))
+        ModelConfig(n=10, p=2, gft_model=3, f_dist=(1.0,))
 
     def test_tags(self):
         assert ModelConfig(n=5).tag() == "gf2:r1:s3:without"
-        assert ModelConfig(n=5, field="gfp", p=3, gft_model=1).tag() == "gf3:model1"
+        assert ModelConfig(n=5, p=3, gft_model=1).tag() == "gf3:model1"
 
 
 class TestGf2Sampler:
     def test_determinism_bit_identical(self):
         cfg = ModelConfig(n=50, master_seed=123)
-        a = sample_gf2(cfg, 7).matrix
-        b = sample_gf2(cfg, 7).matrix
+        a = sample_gf2(cfg, 7)
+        b = sample_gf2(cfg, 7)
         assert a == b
-        c = sample_gf2(cfg, 8).matrix
+        c = sample_gf2(cfg, 8)
         assert a != c
 
     def test_without_replacement_column_structure(self):
         cfg = ModelConfig(n=30, r=1, s=3, replacement="without", master_seed=5)
         for trial in range(20):
-            dense = sample_gf2(cfg, trial).matrix.to_dense()
+            dense = sample_gf2(cfg, trial).to_dense()
             weights = dense.sum(axis=0)
             assert (weights == 3).all()
             assert (np.diag(dense) == 1).all()
 
     def test_small_n_exact_weight_three(self):
         cfg = ModelConfig(n=3, r=1, s=3, replacement="without", master_seed=1)
-        dense = sample_gf2(cfg, 0).matrix.to_dense()
+        dense = sample_gf2(cfg, 0).to_dense()
         assert (dense == 1).all()  # the only weight-3 column on 3 rows
 
     def test_with_replacement_weights_in_1_3(self):
@@ -109,7 +117,7 @@ class TestGf2Sampler:
         assert outcome_weights(3) == {1, 3}
         cfg = ModelConfig(n=40, r=1, s=3, replacement="with", master_seed=9)
         for trial in range(30):
-            dense = sample_gf2(cfg, trial).matrix.to_dense()
+            dense = sample_gf2(cfg, trial).to_dense()
             assert set(np.unique(dense.sum(axis=0))) <= {1, 3}
 
     def test_with_replacement_weight1_frequency(self):
@@ -121,7 +129,7 @@ class TestGf2Sampler:
         cols = 0
         ones = 0
         for trial in range(1000):
-            dense = sample_gf2(cfg, trial).matrix.to_dense()
+            dense = sample_gf2(cfg, trial).to_dense()
             w = dense.sum(axis=0)
             cols += n
             ones += int((w == 1).sum())
@@ -130,7 +138,7 @@ class TestGf2Sampler:
 
     def test_r_blocks_share_rows(self):
         cfg = ModelConfig(n=20, r=3, s=3, replacement="without", master_seed=4)
-        m = sample_gf2(cfg, 0).matrix
+        m = sample_gf2(cfg, 0)
         assert m.n_cols == 60
         dense = m.to_dense()
         for j in range(3):
@@ -140,15 +148,15 @@ class TestGf2Sampler:
 
     def test_s2_without_replacement(self):
         cfg = ModelConfig(n=25, r=1, s=2, replacement="without", master_seed=2)
-        dense = sample_gf2(cfg, 0).matrix.to_dense()
+        dense = sample_gf2(cfg, 0).to_dense()
         assert (dense.sum(axis=0) == 2).all()
         assert (np.diag(dense) == 1).all()
 
     def test_sample_stores_entries_only(self):
         # packed rows alone would be n x n / 8 bytes: 50 MB at n = 2 * 10^4
         cfg = ModelConfig(n=20000, r=1, s=3, master_seed=20000)
-        sm, peak = traced_peak(lambda: sample_gf2(cfg, 0))
-        assert sm.matrix.nonzero()[0].size == 3 * cfg.n
+        m, peak = traced_peak(lambda: sample_gf2(cfg, 0))
+        assert m.nonzero()[0].size == 3 * cfg.n
         assert peak < 8 * 2**20
 
 
@@ -157,41 +165,38 @@ class TestFunctionalGraph:
         # f(i) = i+1 mod n: one big cycle, one component
         n = 9
         cols = [[i, (i + 1) % n] for i in range(n)]
-        m = BitMatrix.from_columns(n, cols)
-        cfg = ModelConfig(n=n, r=1, s=2, replacement="without", master_seed=0)
-        sm = sample(cfg, 0)
-        object.__setattr__(sm, "matrix", m)
-        assert functional_graph_components(sm) == 1
+        assert functional_graph_components(BitMatrix.from_columns(n, cols)) == 1
 
     def test_single_vertex_loop(self):
         cfg = ModelConfig(n=1, r=1, s=2, replacement="with", master_seed=0)
-        sm = sample(cfg, 0)
-        assert functional_graph_components(sm) == 1
+        assert functional_graph_components(sample(cfg, 0)) == 1
 
     def test_component_count_equals_corank(self):
         cfg = ModelConfig(n=80, r=1, s=2, replacement="without", master_seed=31)
         for trial in range(200):
-            sm = sample(cfg, trial)
-            comps = functional_graph_components(sm)
-            rank, basis = gf2_rank_nullspace(sm.matrix)
+            m = sample(cfg, trial)
+            comps = functional_graph_components(m)
+            rank, basis = gf2_rank_nullspace(m)
             assert comps == len(basis)
 
     def test_component_count_equals_corank_with_replacement(self):
         cfg = ModelConfig(n=60, r=1, s=2, replacement="with", master_seed=32)
         for trial in range(200):
-            sm = sample(cfg, trial)
-            assert functional_graph_components(sm) == len(gf2_rank_nullspace(sm.matrix)[1])
+            m = sample(cfg, trial)
+            assert functional_graph_components(m) == len(gf2_rank_nullspace(m)[1])
 
     def test_wrong_shape_rejected(self):
         cfg = ModelConfig(n=20, r=1, s=3, master_seed=0)
         with pytest.raises(ValueError):
             functional_graph_components(sample(cfg, 0))
+        with pytest.raises(ValueError, match="GF\\(2\\)"):
+            functional_graph_components(sample(ModelConfig(n=20, p=3, gft_model=1), 0))
 
 
 class TestGftSampler:
     def test_model1_structure(self):
-        cfg = ModelConfig(n=30, field="gfp", p=3, gft_model=1, master_seed=6)
-        m = sample_gft(cfg, 0).matrix
+        cfg = ModelConfig(n=30, p=3, gft_model=1, master_seed=6)
+        m = sample_gft(cfg, 0)
         assert isinstance(m, PrimeFieldMatrix)
         assert (np.diag(m.entries) == 1).all()
         assert ((m.entries != 0).sum(axis=0) == 3).all()
@@ -201,11 +206,11 @@ class TestGftSampler:
 
     def test_model2_diagonal_ones_and_value_frequencies(self):
         p = 5
-        cfg = ModelConfig(n=250, field="gfp", p=p, gft_model=2, master_seed=8)
+        cfg = ModelConfig(n=250, p=p, gft_model=2, master_seed=8)
         counts = np.zeros(p, dtype=np.int64)
         draws = 0
         for trial in range(200):
-            m = sample_gft(cfg, trial).matrix
+            m = sample_gft(cfg, trial)
             assert (np.diag(m.entries) == 1).all()
             off = m.entries.copy()
             np.fill_diagonal(off, 0)
@@ -219,27 +224,27 @@ class TestGftSampler:
             assert abs(counts[v] / draws - target) <= 3 * se
 
     def test_model3_draws_diagonal_from_f(self):
-        cfg = ModelConfig(n=200, field="gfp", p=3, gft_model=3, master_seed=10)
-        m = sample_gft(cfg, 0).matrix
+        cfg = ModelConfig(n=200, p=3, gft_model=3, master_seed=10)
+        m = sample_gft(cfg, 0)
         diag = np.diag(m.entries)
         assert set(np.unique(diag)) <= {1, 2}
         assert (diag == 2).any()
 
     def test_model3_gf2_degenerates_to_gf2_sampler(self):
         n = 64
-        gfp_cfg = ModelConfig(n=n, field="gfp", p=2, gft_model=3, f_dist=(1.0,),
+        gfp_cfg = ModelConfig(n=n, p=2, gft_model=3, f_dist=(1.0,),
                               master_seed=55)
         gf2_cfg = ModelConfig(n=n, r=1, s=3, replacement="without", master_seed=55)
         for trial in range(10):
-            a = sample_gft(gfp_cfg, trial).matrix
-            b = sample_gf2(gf2_cfg, trial).matrix
+            a = sample_gft(gfp_cfg, trial)
+            b = sample_gf2(gf2_cfg, trial)
             assert np.array_equal(a.entries, b.to_dense())
 
     def test_sample_stores_entries_only(self):
         # a dense int64 n x n array alone would be 32 MB at n = 2000
-        cfg = ModelConfig(n=2000, field="gfp", p=3, gft_model=1, master_seed=2000)
-        sm, peak = traced_peak(lambda: sample_gft(cfg, 0))
-        assert sm.matrix.nonzero()[0].size == 3 * cfg.n
+        cfg = ModelConfig(n=2000, p=3, gft_model=1, master_seed=2000)
+        m, peak = traced_peak(lambda: sample_gft(cfg, 0))
+        assert m.nonzero()[0].size == 3 * cfg.n
         assert peak < 4 * 2**20
 
 
@@ -267,7 +272,7 @@ class TestSerialization:
 
     def test_sampled_roundtrip_bit_exact(self):
         cfg = ModelConfig(n=40, master_seed=14)
-        m = sample(cfg, 3).matrix
+        m = sample(cfg, 3)
         assert parse_matrix(serialize_matrix(m)) == m
 
     def test_serialized_text(self):

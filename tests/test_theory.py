@@ -308,7 +308,14 @@ class TestTable:
         assert hashlib.sha256(text.encode()).hexdigest() == TABLE_SHA256[model]
 
     @pytest.mark.parametrize("call", [lambda: theory.build_table(tol=0),
-                                      lambda: theory.corank_distribution(3, tol=-1)])
+                                      lambda: theory.corank_distribution(3, tol=-1),
+                                      lambda: theory.build_table(tol=math.nan),
+                                      lambda: theory.corank_distribution(3, tol=math.inf),
+                                      lambda: theory.build_table(tol=1),
+                                      lambda: theory.phi("with", math.nan),
+                                      lambda: theory.phi("without", 1e300),
+                                      lambda: theory.phi_t(1.0, math.nan),
+                                      lambda: theory.phi_t(0.5, math.inf)])
     def test_nonpositive_tol_fails_fast(self, call):
         t0 = time.perf_counter()
         with pytest.raises(ValueError, match="tol"):

@@ -188,7 +188,6 @@ class NullSpaceReport:
     n_rows: int
     rank: int
     d: int
-    codewords: list[tuple[int, int]] = dc_field(repr=False, default_factory=list)
     weights: list[int] = dc_field(default_factory=list)
     sigma: int = 0
     lam: int = 0
@@ -245,7 +244,6 @@ def classify(codewords: list[tuple[int, int]], n: int, omega: int,
         n_rows=n,
         rank=n - d,
         d=d,
-        codewords=codewords,
         weights=weights,
         sigma=sigma,
         lam=d - sigma,

@@ -259,22 +259,26 @@ def cmd_audit(args) -> int:
 
 
 def cmd_sweep(args) -> int:
+    try:
+        configs = [ModelConfig(n=n, replacement=args.replacement, master_seed=args.seed)
+                   for n in args.n_list]
+    except ValueError as e:
+        return _usage_error(e)
     table = theory.build_table(model=args.replacement, d_max=args.dmax)
     rows = []
     print(f"seed={args.seed} trials={args.trials} model={args.replacement}")
     print(f"{'n':>6} {'p0_emp':>8} {'p0_thy':>8} {'tv':>7} {'sig_mean':>9} "
           f"{'phi':>7} {'anom':>5}")
-    for n in args.n_list:
-        cfg = ModelConfig(n=n, replacement=args.replacement, master_seed=args.seed)
+    for cfg in configs:
         _, summary = run_campaign(cfg, trials=args.trials, workers=args.workers)
         fit = compare_to_theory(summary, table)
-        rows.append({"n": n, "trials": args.trials,
+        rows.append({"n": cfg.n, "trials": args.trials,
                      "corank0_emp": fit.corank0_emp,
                      "corank0_theory": fit.corank0_theory,
                      "tv_corank": fit.tv_corank, "tv_joint": fit.tv_joint,
                      "sigma_mean": summary.sigma_mean, "phi": table.phi,
                      "anomalies": summary.anomaly_total})
-        print(f"{n:>6} {fit.corank0_emp:>8.4f} {fit.corank0_theory:>8.4f} "
+        print(f"{cfg.n:>6} {fit.corank0_emp:>8.4f} {fit.corank0_theory:>8.4f} "
               f"{fit.tv_corank:>7.4f} {summary.sigma_mean:>9.5f} "
               f"{table.phi:>7.4f} {summary.anomaly_total:>5}")
     if args.out:

@@ -215,13 +215,17 @@ def _canonical(vectors: list[int]) -> tuple[int, ...]:
     """Reduced echelon form keyed by top bit, in ascending order, of a
     list of independent vectors: each vector keeps its own top bit and
     no other vector's."""
-    out = sorted(_reduce(vectors))
-    for k, v in enumerate(out):
-        top = 1 << (v.bit_length() - 1)
-        for i in range(k + 1, len(out)):
-            if out[i] & top:
-                out[i] ^= v
-    return tuple(out)
+    out: dict[int, int] = {}
+    tops = 0
+    # Ascending tops: each earlier vector is final and holds no other
+    # earlier top, so one read of v & tops finds every XOR v needs.
+    for v in sorted(_reduce(vectors)):
+        for t in bit_indices(v & tops):
+            v ^= out[t]
+        top = v.bit_length() - 1
+        out[top] = v
+        tops |= 1 << top
+    return tuple(out.values())
 
 
 def _pair_components(n: int, rows: np.ndarray, cols: np.ndarray) -> int:

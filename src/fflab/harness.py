@@ -216,16 +216,6 @@ def summary_to_csv(summary: CampaignSummary) -> str:
     return "\n".join(",".join(r) for r in rows) + "\n"
 
 
-def wilson_interval(successes: int, trials: int, z: float = 1.96) -> tuple[float, float]:
-    if trials == 0:
-        return (0.0, 1.0)
-    phat = successes / trials
-    denom = 1 + z * z / trials
-    centre = phat + z * z / (2 * trials)
-    half = z * math.sqrt(phat * (1 - phat) / trials + z * z / (4 * trials * trials))
-    return ((centre - half) / denom, (centre + half) / denom)
-
-
 def _tv(emp_counts: dict, theory_probs: dict, trials: int) -> float:
     """Total variation with an explicit tail cell for mass beyond the grid."""
     tv = 0.0
@@ -248,15 +238,9 @@ class FitReport:
     chi2_stat: float
     chi2_dof: int
     chi2_pvalue: float
-    wilson: dict[int, tuple[float, float]]
     corank0_emp: float
     corank0_theory: float
     corank0_se: float
-
-    def to_json_dict(self) -> dict:
-        d = dict(self.__dict__)
-        d["wilson"] = {str(k): list(v) for k, v in self.wilson.items()}
-        return d
 
 
 def chi2_sf(stat: float, dof: int) -> float:
@@ -265,7 +249,7 @@ def chi2_sf(stat: float, dof: int) -> float:
 
 
 def compare_to_theory(summary: CampaignSummary, table: TheoryTable) -> FitReport:
-    """TV distances, pooled chi-square and Wilson intervals vs a theory table."""
+    """TV distances, pooled chi-square and the corank-0 error vs a theory table."""
     expected_tag = f"gf2:r1:s3:{table.model}"
     if summary.model != expected_tag:
         raise ValueError(f"model tag mismatch: campaign {summary.model!r} "
@@ -296,32 +280,13 @@ def compare_to_theory(summary: CampaignSummary, table: TheoryTable) -> FitReport
     dof = max(1, len(pooled) - 1)
     pvalue = chi2_sf(stat, dof)
 
-    wilson = {d: wilson_interval(summary.corank_hist.get(d, 0), trials)
-              for d in range(d_max + 1)}
     p0 = summary.corank_hist.get(0, 0) / trials
     q0 = table.corank[0]
     se = math.sqrt(q0 * (1 - q0) / trials)
     return FitReport(model=summary.model, trials=trials, tv_corank=tv_corank,
                      tv_joint=tv_joint, chi2_stat=stat, chi2_dof=dof,
-                     chi2_pvalue=pvalue, wilson=wilson, corank0_emp=p0,
+                     chi2_pvalue=pvalue, corank0_emp=p0,
                      corank0_theory=q0, corank0_se=se)
-
-
-@dataclass(frozen=True)
-class PoissonFit:
-    count: int
-    mean: float
-    variance: float
-    dispersion: float
-
-
-def poisson_fit(records: Sequence[TrialRecord]) -> PoissonFit:
-    """Sample mean/variance/dispersion of sigma over a campaign."""
-    sigmas = [r.sigma for r in records if r.sigma is not None]
-    if len(sigmas) < 1000:
-        raise ValueError("poisson_fit needs at least 1000 records")
-    mean, var, disp = _moments(sigmas)
-    return PoissonFit(count=len(sigmas), mean=mean, variance=var, dispersion=disp)
 
 
 def headline_checks(summary: CampaignSummary, fit: FitReport,
@@ -367,7 +332,6 @@ class AuditResult:
     trials: int
     violations: int            # exact-property violations (family-specific)
     fraction: float | None     # measured target fraction, when one applies
-    threshold: float | None
     passed: bool
 
     def describe(self) -> str:
@@ -412,12 +376,12 @@ def special_case_audits(families: Sequence[str], n: int = 500, trials: int = 100
         results = _pool_map(fn, range(trials), workers)
         violations = sum(v for v, _ in results)
         if audit.hit is None:
-            fraction, threshold = None, None
+            fraction = None
             passed = violations == 0
         else:
-            fraction, threshold = sum(h for _, h in results) / trials, FRACTION_MIN
+            fraction = sum(h for _, h in results) / trials
             passed = violations == 0 and fraction >= FRACTION_MIN
         out.append(AuditResult(family=family, n=n, trials=trials,
                                violations=violations, fraction=fraction,
-                               threshold=threshold, passed=passed))
+                               passed=passed))
     return out

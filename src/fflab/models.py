@@ -68,7 +68,7 @@ class ModelConfig:
             f = self.f_dist
             if len(f) != self.p - 1:
                 raise ValueError("f_dist must give probabilities for residues 1..p-1")
-            if any(x < 0 for x in f):
+            if not all(x >= 0 for x in f):  # nan fails x >= 0
                 raise ValueError("f_dist entries must be nonnegative")
             if abs(sum(f) - 1.0) > 1e-12:
                 raise ValueError("f_dist must sum to 1 within 1e-12")
@@ -152,12 +152,11 @@ def sample_gft(cfg: ModelConfig, trial: int) -> PrimeFieldMatrix:
     pos = _draw_positions(rng, n, 1, 3, WITHOUT)
     f = cfg.effective_f()
     residues = np.arange(1, p)
-    degenerate = p == 2  # the only nonzero residue is 1; nothing to draw
-    if cfg.gft_model == 1 or degenerate:
+    if cfg.gft_model == 1:
         off = np.ones((n, 2), dtype=np.int64)
     else:
         off = rng.choice(residues, size=(n, 2), p=f)
-    if cfg.gft_model == 3 and not degenerate:
+    if cfg.gft_model == 3:
         dia = rng.choice(residues, size=n, p=f)
     else:
         dia = np.ones(n, dtype=np.int64)

@@ -24,7 +24,6 @@ from fflab.gf2 import BitMatrix, gf2_rank_nullspace
 from fflab.harness import (
     compare_to_theory,
     headline_checks,
-    poisson_fit,
     run_campaign,
     special_case_audits,
 )
@@ -146,14 +145,14 @@ def test_c06_monte_carlo_headline(campaign500, table_without):
 
 
 def test_c07_poisson_small_dependency_law(campaign500, table_without):
-    records, summary = campaign500
-    fit = poisson_fit(records)
-    se = math.sqrt(fit.variance / fit.count)
-    mean_ok = abs(fit.mean - table_without.phi) <= 3 * se
-    disp_ok = 0.9 <= fit.dispersion <= 1.1
-    assert _line("C07", mean_ok and disp_ok,
-                 f"mean={fit.mean:.5f} (phi={table_without.phi:.5f}, "
-                 f"3se={3*se:.5f}) dispersion={fit.dispersion:.3f}")
+    _, summary = campaign500
+    checks = headline_checks(summary, compare_to_theory(summary, table_without),
+                             table_without)
+    se = math.sqrt(summary.sigma_var / summary.trials)
+    ok = checks["sigma_mean_within_3se"] and checks["dispersion_in_band"]
+    assert _line("C07", ok,
+                 f"mean={summary.sigma_mean:.5f} (phi={table_without.phi:.5f}, "
+                 f"3se={3*se:.5f}) dispersion={summary.sigma_dispersion:.3f}")
 
 
 def test_c08_gap_property(campaign500, campaign2000):

@@ -222,6 +222,21 @@ class TestUsageErrors:
         assert e.value.code == 2
         assert f"argument {flag}" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("n_list", ["2", "60,2"])
+    def test_sweep_model_error_exits_2(self, n_list, monkeypatch, capsys):
+        def no_campaign(*args, **kwargs):
+            raise AssertionError("sampled before rejecting the model")
+
+        monkeypatch.setattr(cli, "run_campaign", no_campaign)
+        assert run_cli("sweep", "--n-list", n_list, "--trials", "5") == 2
+        out, err = capsys.readouterr()
+        assert out == "" and "error: without replacement requires" in err
+
+    def test_nan_f_dist_exits_2(self, capsys):
+        assert run_cli("simulate", "--n", "20", "--p", "3", "--gft-model", "2",
+                       "--f-dist", "nan,nan", "--trials", "2") == 2
+        assert "f_dist entries must be nonnegative" in capsys.readouterr().err
+
     @pytest.mark.parametrize("tol", ["0", "-0.5", "nan", "inf", "1"])
     def test_nonpositive_tol_exits_2(self, tol, capsys):
         assert run_cli("theory", "--tol", tol) == 2

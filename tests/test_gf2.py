@@ -1,3 +1,4 @@
+import time
 import tracemalloc
 
 import numpy as np
@@ -166,6 +167,16 @@ def test_elimination_allocates_no_dense_array():
     finally:
         tracemalloc.stop()
     assert peak < 8 * 2**20  # a dense n x n uint8 temporary alone is 16 MB
+
+
+def test_large_null_space_is_fast():
+    # one column set in row 0 alone: every other row is its own dependency;
+    # a pairwise canonical pass over the 7999 vectors takes seconds
+    t0 = time.perf_counter()
+    rank, basis = gf2_rank_nullspace(BitMatrix(8000, 1, [0], [0]))
+    assert time.perf_counter() - t0 < 2.0
+    assert rank == 1
+    assert basis == tuple(1 << i for i in range(1, 8000))
 
 
 def test_nonzero_lists_the_set_bits():

@@ -10,19 +10,16 @@ from fflab.harness import (
     AuditResult,
     CampaignSummary,
     FitReport,
-    PoissonFit,
     TrialRecord,
     _tv,
     chi2_sf,
     compare_to_theory,
     headline_checks,
-    poisson_fit,
     read_records_jsonl,
     run_campaign,
     run_trial,
     special_case_audits,
     summarize,
-    wilson_interval,
     write_records_jsonl,
 )
 from fflab.gf2 import gf2_rank_nullspace
@@ -184,8 +181,6 @@ class TestCompare:
         assert fit.chi2_pvalue == chi2_sf(fit.chi2_stat, fit.chi2_dof)
         assert fit.chi2_pvalue == pytest.approx(
             chi2_sf_closed_form(fit.chi2_stat, fit.chi2_dof), rel=1e-12)
-        lo, hi = fit.wilson[0]
-        assert lo <= fit.corank0_emp <= hi
 
     def test_chi2_sf_matches_closed_form(self):
         stats = [1e-9, 1e-4, 0.01, 0.1, 0.5, 1, 2, 3.5, 5, 7, 10, 15, 20, 30,
@@ -211,15 +206,6 @@ class TestCompare:
                                "dispersion_in_band"}
 
 
-class TestWilson:
-    def test_basic_properties(self):
-        lo, hi = wilson_interval(50, 100)
-        assert 0 < lo < 0.5 < hi < 1
-        lo0, hi0 = wilson_interval(0, 100)
-        assert lo0 == pytest.approx(0, abs=1e-12)
-        assert hi0 < 0.06
-
-
 class TestPoissonFit:
     def _records_from_sigmas(self, sigmas):
         return [TrialRecord(trial=i, n=10, model="m", rank=10, corank=0,
@@ -230,19 +216,16 @@ class TestPoissonFit:
                 for i, s in enumerate(sigmas)]
 
     def test_degenerate_all_zero(self):
-        fit = poisson_fit(self._records_from_sigmas([0] * 1000))
-        assert fit.mean == 0
-        assert math.isnan(fit.dispersion)
+        summary = summarize(self._records_from_sigmas([0] * 1000), master_seed=0)
+        assert summary.sigma_mean == 0
+        assert math.isnan(summary.sigma_dispersion)
 
     def test_synthetic_poisson_stream(self):
         rng = np.random.default_rng(8)
-        fit = poisson_fit(self._records_from_sigmas(rng.poisson(0.5, 10_000)))
-        assert 0.9 <= fit.dispersion <= 1.1
-        assert fit.mean == pytest.approx(0.5, abs=3 * math.sqrt(0.5 / 10_000))
-
-    def test_too_few_records_rejected(self):
-        with pytest.raises(ValueError):
-            poisson_fit(self._records_from_sigmas([0] * 999))
+        summary = summarize(self._records_from_sigmas(rng.poisson(0.5, 10_000)),
+                            master_seed=0)
+        assert 0.9 <= summary.sigma_dispersion <= 1.1
+        assert summary.sigma_mean == pytest.approx(0.5, abs=3 * math.sqrt(0.5 / 10_000))
 
 
 class TestAudits:

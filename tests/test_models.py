@@ -65,6 +65,10 @@ class TestConfigValidation:
                         f_dist=(0.5, 0.2, 0.2, 0.2))
         ModelConfig(n=10, p=5, gft_model=2,
                     f_dist=(0.25, 0.25, 0.25, 0.25))
+        # nan is neither < 0 nor >= 0
+        for f in ((math.nan, math.nan), (math.nan, 1.0)):
+            with pytest.raises(ValueError, match="nonnegative"):
+                ModelConfig(n=20, p=3, gft_model=2, f_dist=f)
         # an f_dist that would change nothing: GF(2), and Model 1 (all entries 1)
         with pytest.raises(ValueError, match="f_dist"):
             ModelConfig(n=10, f_dist=(0.5, 0.5))

@@ -25,6 +25,7 @@ from typing import Sequence
 import numpy as np
 
 from .gf2 import BitMatrix, _pair_components, _reduce, bit_indices, gf2_rank_nullspace
+from .theory import window_halfwidth
 
 
 class GuardExceeded(RuntimeError):
@@ -43,11 +44,6 @@ class GuardExceeded(RuntimeError):
 def default_omega(n: int) -> int:
     """Small/large weight threshold omega(n) = ceil(ln^2 n)."""
     return math.ceil(math.log(n) ** 2)
-
-
-def window_halfwidth(n: int, a: float) -> float:
-    """Half-width sqrt(a n ln n) of the large-weight window J_a around n/2."""
-    return math.sqrt(a * n * math.log(n))
 
 
 def in_large_window(w: int, n: int, a: float) -> bool:

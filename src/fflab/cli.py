@@ -115,9 +115,7 @@ def _write_table_csv(table: theory.TheoryTable, prefix: str) -> list[str]:
 
 
 def cmd_theory(args) -> int:
-    if args.gft:
-        if args.gamma is None:
-            return _usage_error("--gft requires --gamma")
+    if args.gamma is not None:
         try:
             value = theory.phi_t(args.gamma, args.tol)
         except ValueError as e:
@@ -297,8 +295,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("theory", help="compute exact limiting tables")
     p.add_argument("--replacement", choices=theory.REPLACEMENTS, default=theory.WITHOUT)
-    p.add_argument("--gft", action="store_true", help="evaluate phi_t instead")
-    p.add_argument("--gamma", type=float, default=None)
+    p.add_argument("--gamma", type=float, default=None,
+                   help="evaluate the GF(t) rate phi_t at this gamma instead")
     p.add_argument("--dmax", type=_nonnegative_int, default=12)
     p.add_argument("--tol", type=float, default=1e-9)
     p.add_argument("--out", type=str, default=None)

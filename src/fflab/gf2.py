@@ -140,6 +140,16 @@ class BitMatrix:
                 and all(map(np.array_equal, self._entries, other._entries)))
 
 
+def _degree_labels(rows: np.ndarray, n_rows: int) -> np.ndarray:
+    """label[i] for every row i of an entry list's row indices: the rows
+    ordered by degree, descending (stable), so the lowest-degree rows
+    take the highest labels.  Both engines eliminate over these labels."""
+    order = np.argsort(-np.bincount(rows, minlength=n_rows), kind="stable")
+    label = np.empty(n_rows, dtype=np.intp)
+    label[order] = np.arange(n_rows)
+    return label
+
+
 def _reduce(rows: Iterable[int]) -> Iterator[int]:
     """Reduce each row against the pivots of the rows before it, keyed by
     leading bit; a row that does not reduce to zero becomes a pivot.
@@ -184,9 +194,7 @@ def gf2_rank_nullspace(m: BitMatrix) -> tuple[int, tuple[int, ...]]:
     """
     nr = m.n_rows
     rows, cols = m.nonzero()
-    order = np.argsort(-np.bincount(rows, minlength=nr), kind="stable")
-    label = np.empty(nr, dtype=np.intp)
-    label[order] = np.arange(nr)
+    label = _degree_labels(rows, nr)
     pivots: dict[int, int] = {}
     for v in _reduce(_xor_pack(m.n_cols, cols, label[rows])):
         if v:

@@ -25,7 +25,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .gf2 import _entry_keys
+from .gf2 import _degree_labels, _entry_keys
 
 # Deterministic Miller-Rabin: the smallest composite that is a strong
 # pseudoprime to every prime base up to 37 is this bound, 3.2e23
@@ -64,6 +64,15 @@ def is_prime(n: int) -> bool:
     return True
 
 
+def check_modulus(p: int) -> None:
+    """Refuse a modulus that is not prime or whose residues do not fit
+    int64 (p >= 2^63); the ValueError says which."""
+    if p >= 2**63:
+        raise ValueError(f"modulus {p} is too large: residues must fit int64")
+    if not is_prime(p):
+        raise ValueError(f"modulus {p} is not prime")
+
+
 @dataclass(init=False)
 class PrimeFieldMatrix:
     """Matrix over GF(p), stored as the (rows, cols, vals) arrays of its
@@ -82,10 +91,7 @@ class PrimeFieldMatrix:
         rows, cols and vals are arrays of any shapes that broadcast
         together; a position may be given at most once, and zero values
         are dropped."""
-        if p >= 2**63:
-            raise ValueError(f"modulus {p} is too large: residues must fit int64")
-        if not is_prime(p):
-            raise ValueError(f"modulus {p} is not prime")
+        check_modulus(p)
         rows, cols, vals = np.broadcast_arrays(np.asarray(rows, dtype=np.int64),
                                                np.asarray(cols, dtype=np.int64),
                                                np.asarray(vals, dtype=np.int64))
@@ -212,23 +218,17 @@ def _eliminate(vectors: Iterable[int], lanes: _Lanes) -> dict[int, int]:
     return pivots
 
 
-def _column_pivots(m: PrimeFieldMatrix) -> tuple[dict[int, int], np.ndarray, _Lanes]:
-    """Eliminate the columns of m over rows relabelled by degree,
-    descending (stable), so the lowest-degree rows hold the highest
-    lanes and lead.  Returns the pivots, ``order`` (order[label] is the
-    original row) and the lane layout."""
-    nr = m.n_rows
+def _column_pivots(m: PrimeFieldMatrix, label: np.ndarray) -> tuple[dict[int, int], _Lanes]:
+    """Eliminate the columns of m with row i on lane label[i].  Returns
+    the pivots and the lane layout."""
     rows, cols, vals = m.nonzero()
-    order = np.argsort(-np.bincount(rows, minlength=nr), kind="stable")
-    label = np.empty(nr, dtype=np.intp)
-    label[order] = np.arange(nr)
-    lanes = _Lanes(m.p, nr)
-    return _eliminate(lanes.pack(m.n_cols, cols, label[rows], vals), lanes), order, lanes
+    lanes = _Lanes(m.p, m.n_rows)
+    return _eliminate(lanes.pack(m.n_cols, cols, label[rows], vals), lanes), lanes
 
 
 def gfp_rank(m: PrimeFieldMatrix) -> int:
     """Row rank over GF(p): the number of pivot columns."""
-    return len(_column_pivots(m)[0])
+    return len(_column_pivots(m, _degree_labels(m.nonzero()[0], m.n_rows))[0])
 
 
 def gfp_rank_nullspace(m: PrimeFieldMatrix) -> tuple[int, list[np.ndarray]]:
@@ -252,7 +252,8 @@ def gfp_rank_nullspace(m: PrimeFieldMatrix) -> tuple[int, list[np.ndarray]]:
     rank + len(basis) == n_rows.
     """
     nr, p = m.n_rows, m.p
-    pivots, order, lanes = _column_pivots(m)
+    label = _degree_labels(m.nonzero()[0], nr)
+    pivots, lanes = _column_pivots(m, label)
     free = sorted(set(range(nr)).difference(pivots))
     if not free:
         return len(pivots), []
@@ -276,9 +277,9 @@ def gfp_rank_nullspace(m: PrimeFieldMatrix) -> tuple[int, list[np.ndarray]]:
         for q, a, b in zip(above, cut, cut[1:]):
             if q > j:
                 x[q] = -sum(x[l] * c for l, c in zip(ls[a:b], cs[a:b])) % p
-        x = np.array(x, dtype=np.int64)
-        support = np.flatnonzero(x)  # labels; order[support] are the original rows
-        vectors += lanes.pack(1, np.zeros_like(support), order[support], x[support])
+        x = np.array(x, dtype=np.int64)[label]  # back to the original rows
+        support = np.flatnonzero(x)
+        vectors += lanes.pack(1, np.zeros_like(support), support, x[support])
     return len(pivots), [lanes.unpack(v) for v in _canonical(vectors, lanes)]
 
 
@@ -287,14 +288,20 @@ def _canonical(vectors: list[int], lanes: _Lanes) -> list[int]:
     list of independent lane vectors: each vector is monic at its own
     top lane and zero at every other vector's."""
     p, w, m, k, qmask = lanes.p, lanes.w, lanes.m, lanes.k, lanes.qmask
-    pivots = _eliminate(vectors, lanes)
-    tops = sorted(pivots)
-    out = [pivots[t] for t in tops]
     lane_mask = (1 << w) - 1
-    for a, top in enumerate(tops):
-        for b in range(a + 1, len(out)):
-            f = (out[b] >> (top * w)) & lane_mask
-            if f:
-                y = out[b] + (p - f) * out[a]
-                out[b] = y - (((y * m) >> k) & qmask) * p
-    return out
+    out: dict[int, int] = {}
+    tops = 0  # every bit of each earlier top lane
+    pivots = _eliminate(vectors, lanes)
+    # Ascending tops: each earlier vector is final and zero at every
+    # other earlier top, so one read of v & tops finds every lane to clear.
+    for top in sorted(pivots):
+        v = pivots[top]
+        hits = v & tops
+        while hits:
+            t = (hits.bit_length() - 1) // w
+            y = v + (p - ((v >> t * w) & lane_mask)) * out[t]
+            v = y - (((y * m) >> k) & qmask) * p
+            hits &= (1 << t * w) - 1
+        out[top] = v
+        tops |= lane_mask << top * w
+    return list(out.values())

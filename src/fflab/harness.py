@@ -66,6 +66,12 @@ class TrialRecord:
         return cls(wall_ms=0.0, **json.loads(line))
 
 
+# The NullSpaceReport fields a TrialRecord takes under the same name.
+_REPORT_FIELDS = ("rank", "sigma", "lam", "weights", "disjoint_violations",
+                  "equiv_violations", "simple_a1", "simple_a4",
+                  "intersection_flags", "large_basis_deficit")
+
+
 def run_trial(cfg: ModelConfig, trial: int, omega: int | None = None,
               window_a: float = 4.0, guard: int = 20) -> TrialRecord:
     """Sample one matrix, eliminate, analyse; never raises on guard hits."""
@@ -81,14 +87,8 @@ def run_trial(cfg: ModelConfig, trial: int, omega: int | None = None,
             found = {"rank": m.n_rows - e.dimension, "corank": e.dimension,
                      "guard_exceeded": True}
         else:
-            found = {"rank": rep.rank, "corank": rep.d, "sigma": rep.sigma,
-                     "lam": rep.lam, "weights": rep.weights,
-                     "anomaly_count": len(rep.anomalies),
-                     "disjoint_violations": rep.disjoint_violations,
-                     "equiv_violations": rep.equiv_violations,
-                     "simple_a1": rep.simple_a1, "simple_a4": rep.simple_a4,
-                     "intersection_flags": rep.intersection_flags,
-                     "large_basis_deficit": rep.large_basis_deficit}
+            found = {name: getattr(rep, name) for name in _REPORT_FIELDS}
+            found.update(corank=rep.d, anomaly_count=len(rep.anomalies))
     return TrialRecord(trial=trial, n=cfg.n, model=cfg.tag(),
                        wall_ms=1e3 * (time.perf_counter() - t0), **found)
 
@@ -231,8 +231,6 @@ def _tv(emp_counts: dict, theory_probs: dict, trials: int) -> float:
 
 @dataclass(frozen=True)
 class FitReport:
-    model: str
-    trials: int
     tv_corank: float
     tv_joint: float
     chi2_stat: float
@@ -283,9 +281,8 @@ def compare_to_theory(summary: CampaignSummary, table: TheoryTable) -> FitReport
     p0 = summary.corank_hist.get(0, 0) / trials
     q0 = table.corank[0]
     se = math.sqrt(q0 * (1 - q0) / trials)
-    return FitReport(model=summary.model, trials=trials, tv_corank=tv_corank,
-                     tv_joint=tv_joint, chi2_stat=stat, chi2_dof=dof,
-                     chi2_pvalue=pvalue, corank0_emp=p0,
+    return FitReport(tv_corank=tv_corank, tv_joint=tv_joint, chi2_stat=stat,
+                     chi2_dof=dof, chi2_pvalue=pvalue, corank0_emp=p0,
                      corank0_theory=q0, corank0_se=se)
 
 

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .gf2 import BitMatrix, _pair_components
-from .gfp import PrimeFieldMatrix, is_prime
+from .gfp import PrimeFieldMatrix, check_modulus
 from .theory import REPLACEMENTS, WITH, WITHOUT
 
 
@@ -58,8 +58,7 @@ class ModelConfig:
             if self.gft_model is not None:
                 raise ValueError("gft_model requires a prime modulus p")
             return
-        if not is_prime(self.p):
-            raise ValueError("p must be a prime modulus")
+        check_modulus(self.p)
         if self.gft_model not in (1, 2, 3):
             raise ValueError("gft_model must be 1, 2 or 3")
         if self.s != 3 or self.replacement != WITHOUT or self.r != 1:
@@ -150,16 +149,13 @@ def sample_gft(cfg: ModelConfig, trial: int) -> PrimeFieldMatrix:
     n = cfg.n
     rng = trial_generator(cfg, trial)
     pos = _draw_positions(rng, n, 1, 3, WITHOUT)
-    f = cfg.effective_f()
-    residues = np.arange(1, p)
-    if cfg.gft_model == 1:
-        off = np.ones((n, 2), dtype=np.int64)
-    else:
+    off = np.ones((n, 2), dtype=np.int64)
+    dia = np.ones(n, dtype=np.int64)
+    if cfg.gft_model != 1:  # only Models 2 and 3 draw values from f
+        f, residues = cfg.effective_f(), np.arange(1, p)
         off = rng.choice(residues, size=(n, 2), p=f)
-    if cfg.gft_model == 3:
-        dia = rng.choice(residues, size=n, p=f)
-    else:
-        dia = np.ones(n, dtype=np.int64)
+        if cfg.gft_model == 3:
+            dia = rng.choice(residues, size=n, p=f)
     vals = np.column_stack([dia, off])  # entry 0 of pos is the diagonal
     return PrimeFieldMatrix(p, n, n, pos, np.arange(n)[:, None], vals)
 
@@ -241,15 +237,10 @@ def parse_matrix(text: str) -> BitMatrix | PrimeFieldMatrix:
     if n_rows * n_cols >= 2**63:
         raise MatrixParseError(1, 1, "dimensions too large: entry positions must fit int64")
     if head[0] == "gfp":
-        if p >= 2**63:
-            raise MatrixParseError(1, len(head[0]) + 2,
-                                   f"modulus {p} is too large: residues must fit int64")
         try:
-            prime = is_prime(p)
+            check_modulus(p)
         except ValueError as e:
             raise MatrixParseError(1, len(head[0]) + 2, str(e))
-        if not prime:
-            raise MatrixParseError(1, len(head[0]) + 2, f"modulus {p} is not prime")
     if len(lines) - 1 != n_cols:
         raise MatrixParseError(len(lines), 1,
                                f"expected {n_cols} column lines, found {len(lines) - 1}")

@@ -197,13 +197,8 @@ def p_joint(sigma: int, lam: int, phi_value: float) -> float:
 
 
 def corank_distribution(d_max: int, model: str = WITHOUT, tol: float = 1e-9) -> list[float]:
-    """Pr(corank = d) for d = 0..d_max: diagonal sums of the joint law."""
-    if d_max < 0:
-        raise ValueError("d_max must be >= 0")
-    with mp.workdps(50):
-        ph, _ = _phi_mp(model, tol)
-        return [float(sum(_p_joint_mp(s, d - s, ph) for s in range(d + 1)))
-                for d in range(d_max + 1)]
+    """Pr(corank = d) for d = 0..d_max, as :func:`build_table` sums them."""
+    return list(build_table(model, d_max=d_max, tol=tol).corank)
 
 
 def expected_num_deps(n: int, ell: int, model: str = WITH) -> float:
@@ -310,10 +305,15 @@ def verify_q_system(k_max: int, lam_terms: int = 60) -> float:
     return worst
 
 
+def window_halfwidth(n: int, a: float) -> float:
+    """Half-width sqrt(a n ln n) of the large-weight window J_a around n/2."""
+    return math.sqrt(a * n * math.log(n))
+
+
 def window_range(n: int, a: float) -> range:
     """Integer weights inside J_a = [n/2 - sqrt(a n ln n), n/2 + sqrt(a n ln n)],
     clamped to the feasible sizes 1..n."""
-    half = math.sqrt(a * n * math.log(n))
+    half = window_halfwidth(n, a)
     return range(max(1, math.ceil(n / 2 - half)),
                  min(n, math.floor(n / 2 + half)) + 1)
 

@@ -1,6 +1,7 @@
 import importlib.util
 import json
 import os
+import shlex
 import subprocess
 import sys
 
@@ -31,11 +32,8 @@ class TestTheoryCommand:
         assert "phi = 0.5215" in capsys.readouterr().out
 
     def test_gft_gamma_one_matches_without(self, capsys):
-        assert run_cli("theory", "--gft", "--gamma", "1.0") == 0
+        assert run_cli("theory", "--gamma", "1.0") == 0
         assert "0.115133" in capsys.readouterr().out
-
-    def test_gft_needs_gamma(self, capsys):
-        assert run_cli("theory", "--gft") == 2
 
     def test_json_output(self, tmp_path, capsys):
         out = tmp_path / "table.json"
@@ -232,6 +230,14 @@ class TestUsageErrors:
         out, err = capsys.readouterr()
         assert out == "" and "error: without replacement requires" in err
 
+    @pytest.mark.parametrize("command", [("simulate", "--trials", "2"),
+                                         ("analyze", "--trial", "0")])
+    def test_modulus_above_int64_exits_2(self, command, capsys):
+        # prime, but its residues do not fit int64
+        assert run_cli(*command, "--n", "20", "--p", "9223372036854775837",
+                       "--gft-model", "1") == 2
+        assert "residues must fit int64" in capsys.readouterr().err
+
     def test_nan_f_dist_exits_2(self, capsys):
         assert run_cli("simulate", "--n", "20", "--p", "3", "--gft-model", "2",
                        "--f-dist", "nan,nan", "--trials", "2") == 2
@@ -283,6 +289,28 @@ class TestHeadlineScript:
         monkeypatch.setattr(cli, "cmd_simulate", lambda args: 0)
         monkeypatch.setattr(cli, "cmd_audit", lambda args: code if args.family == family else 0)
         assert _headline_script().main([*self.SIZE, "--out-dir", str(tmp_path)]) == 1
+
+
+def _readme_commands() -> list[str]:
+    """The fflab commands of the README's CLI block, one string each, with
+    backslash continuations joined and # comments stripped."""
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    with open(os.path.join(root, "README.md")) as f:
+        text = f.read()
+    block = text.split("## CLI", 1)[1].split("```")[1]
+    lines = (line.split("#", 1)[0].strip() for line in block.replace("\\\n", " ").splitlines())
+    return [line for line in lines if line.startswith("fflab ")]
+
+
+def test_readme_commands_parse():
+    commands = _readme_commands()
+    assert len(commands) >= 8
+    parser = cli.build_parser()
+    for command in commands:
+        try:
+            parser.parse_args(shlex.split(command)[1:])
+        except SystemExit:
+            pytest.fail(f"README command does not parse: {command}")
 
 
 def test_cold_start_loads_no_scipy():

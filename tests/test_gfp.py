@@ -184,6 +184,18 @@ def test_rank_allocates_no_dense_lane_buffer():
     assert peak < 8 * 2**20  # an n x n byte-lane buffer and its bytes copy alone are 8 MB
 
 
+def test_canonical_pass_is_linear_in_its_hits():
+    # one column, set in row 0 alone: every other row is a unit null vector,
+    # and a pass over all pairs of them took seconds
+    n = 4000
+    t0 = time.perf_counter()
+    rank, basis = gfp_rank_nullspace(PrimeFieldMatrix(3, n, 1, [0], [0], [1]))
+    assert time.perf_counter() - t0 < 2.0
+    assert rank == 1 and len(basis) == n - 1
+    assert all(np.flatnonzero(x).tolist() == [i] and x[i] == 1
+               for i, x in enumerate(basis, start=1))
+
+
 def test_gf3_model1_all_ones_annihilates():
     cfg = ModelConfig(n=40, p=3, gft_model=1, master_seed=3)
     m = sample_gft(cfg, 0)

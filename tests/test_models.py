@@ -56,6 +56,8 @@ class TestConfigValidation:
             ModelConfig(n=10, p=5, gft_model=7)
         with pytest.raises(ValueError):
             ModelConfig(n=10, p=5, gft_model=2, replacement="with")
+        with pytest.raises(ValueError, match="fit int64"):  # prime, above 2^63
+            ModelConfig(n=10, p=9223372036854775837, gft_model=1)
 
     def test_f_dist_validation(self):
         with pytest.raises(ValueError):
@@ -207,6 +209,12 @@ class TestGftSampler:
         assert set(np.unique(m.entries)) <= {0, 1}
         # columns sum to 3 = 0 mod 3: the all-ones vector annihilates
         assert (m.entries.sum(axis=0) % 3 == 0).all()
+
+    def test_model1_samples_at_a_huge_prime(self):
+        # Model 1 draws no values, so it builds no table of the p - 1 residues
+        big = sample_gft(ModelConfig(n=20, p=2**61 - 1, gft_model=1, master_seed=6), 0)
+        small = sample_gft(ModelConfig(n=20, p=3, gft_model=1, master_seed=6), 0)
+        assert all(map(np.array_equal, big.nonzero(), small.nonzero()))
 
     def test_model2_diagonal_ones_and_value_frequencies(self):
         p = 5

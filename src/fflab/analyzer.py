@@ -28,6 +28,9 @@ from .gf2 import BitMatrix, _pair_components, _reduce, bit_indices, gf2_rank_nul
 from .theory import window_halfwidth
 
 
+WINDOW_A = 4.0  # the large band is J_a at this a
+
+
 class GuardExceeded(RuntimeError):
     """Null-space dimension above the enumeration guard; refused, not truncated.
 
@@ -190,7 +193,7 @@ class NullSpaceReport:
     small_supports: list[int] = dc_field(repr=False, default_factory=list)
     anomalies: list[int] = dc_field(default_factory=list)
     omega: int = 0
-    window_a: float = 4.0
+    window_a: float = WINDOW_A
     disjoint_violations: int = 0
     equiv_violations: int = 0
     large_basis: list[int] = dc_field(repr=False, default_factory=list)
@@ -251,31 +254,30 @@ def classify(codewords: list[tuple[int, int]], n: int, omega: int,
     )
 
 
-def analyze_matrix(m: BitMatrix, omega: int | None = None, window_a: float = 4.0,
-                   guard: int = 20) -> NullSpaceReport:
-    """Full pipeline: rank, null basis, codewords, classification, checks.
+def analyze_matrix(m: BitMatrix, guard: int = 20) -> NullSpaceReport:
+    """Full pipeline at omega = default_omega(n) and a = WINDOW_A: rank,
+    null basis, codewords, classification, checks.
 
     Raises GuardExceeded when the null-space dimension is above the
     guard.  Every small codeword's fundamental verdict is re-derived
     through the connectivity definition, and mismatches are counted.
     """
     n = m.n_rows
-    if omega is None:
-        omega = default_omega(n)
+    omega = default_omega(n)
     rank, basis = gf2_rank_nullspace(m)
     codewords = enumerate_codewords(basis, guard)
-    report = classify(codewords, n, omega, window_a)
+    report = classify(codewords, n, omega, WINDOW_A)
     assert report.rank == rank
     fundamentals = set(report.small_supports)
     for c, w in codewords:
         if w <= omega and connected_functional_digraph(m, c) != (c in fundamentals):
             report.equiv_violations += 1
     report.large_basis = greedy_large_basis(codewords, report.small_supports,
-                                            n, omega, window_a)
+                                            n, omega, WINDOW_A)
     report.large_basis_deficit = report.lam - len(report.large_basis)
     if report.large_basis:
         report.simple_a1 = is_simple_sequence(report.large_basis, n, 1.0)
-        report.simple_a4 = is_simple_sequence(report.large_basis, n, window_a)
+        report.simple_a4 = is_simple_sequence(report.large_basis, n, WINDOW_A)
         if report.simple_a4:
             report.intersection_flags = len(
                 intersection_structure(report.large_basis, n).flagged)

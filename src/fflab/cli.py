@@ -1,9 +1,9 @@
 """Operator surface: theory tables, campaigns, matrix analysis, audits.
 
 Exit codes: 0 success, 1 a configured acceptance threshold failed,
-2 usage or parse error (including a size, count, tolerance or analysis
-parameter out of range).  Master seeds are echoed into every output so
-any run can be reproduced exactly.
+2 usage or parse error (including a size, count, seed or tolerance out
+of range, and an output path that cannot be opened).  Master seeds are
+echoed into every output so any run can be reproduced exactly.
 """
 from __future__ import annotations
 
@@ -13,7 +13,7 @@ import json
 import sys
 
 from . import theory
-from .analyzer import GuardExceeded, analyze_matrix
+from .analyzer import WINDOW_A, GuardExceeded, analyze_matrix
 from .gf2 import BitMatrix
 from .gfp import PrimeFieldMatrix, gfp_rank
 from .harness import (
@@ -46,18 +46,28 @@ def _positive_int_list(text: str) -> list[int]:
     return [_positive_int(x) for x in text.split(",")]
 
 
-def _positive_float(text: str) -> float:
-    """argparse type for a float > 0 (nan is refused too)."""
-    value = float(text)
-    if not value > 0:
-        raise argparse.ArgumentTypeError(f"must be > 0, got {value}")
-    return value
-
-
 def _usage_error(message: object) -> int:
     """Report a usage error on stderr; returns its exit code, 2."""
     print(f"error: {message}", file=sys.stderr)
     return 2
+
+
+class _Unwritable(Exception):
+    """An output path that cannot be opened; main reports it as a usage error."""
+
+
+def _open_output(path: str, mode: str = "w", **kwargs):
+    try:
+        return open(path, mode, **kwargs)
+    except OSError as e:
+        raise _Unwritable(f"{path}: {e.strerror}") from None
+
+
+def _check_outputs(*paths: str | None) -> None:
+    """Fail on an unwritable output path before a campaign, not after it.
+    Append mode creates a missing file and keeps an existing one."""
+    for path in filter(None, paths):
+        _open_output(path, "a").close()
 
 
 def _add_model_flags(p: argparse.ArgumentParser) -> None:
@@ -74,10 +84,6 @@ def _add_model_flags(p: argparse.ArgumentParser) -> None:
 
 
 def _add_analysis_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--omega", type=_nonnegative_int, default=None,
-                   help="small/large threshold (default ceil(ln^2 n))")
-    p.add_argument("--window-a", type=_positive_float, default=4.0,
-                   help="large-band window constant a (default 4)")
     p.add_argument("--guard", type=_nonnegative_int, default=20,
                    help="codeword enumeration guard (default 20)")
 
@@ -107,7 +113,7 @@ def _write_table_csv(table: theory.TheoryTable, prefix: str) -> list[str]:
     paths = []
     for suffix, header, rows in files:
         paths.append(f"{prefix}_{suffix}.csv")
-        with open(paths[-1], "w", newline="") as f:
+        with _open_output(paths[-1], newline="") as f:
             w = csv.writer(f)
             w.writerow(header)
             w.writerows(rows)
@@ -122,12 +128,12 @@ def cmd_theory(args) -> int:
             return _usage_error(e)
         print(f"phi_t(gamma={args.gamma}) = {value:.6f}")
         if args.out:
-            with open(args.out, "w") as f:
+            with _open_output(args.out) as f:
                 json.dump({"gamma": args.gamma, "phi_t": value, "tol": args.tol}, f)
             print(f"wrote {args.out}")
         return 0
     try:
-        table = theory.build_table(model=args.replacement, d_max=args.dmax, tol=args.tol)
+        table = theory.build_table(model=args.replacement, tol=args.tol)
     except ValueError as e:
         return _usage_error(e)
     print(f"model: {table.model} replacement")
@@ -139,7 +145,7 @@ def cmd_theory(args) -> int:
     if args.out:
         if args.format == "json":
             path = args.out if args.out.endswith(".json") else args.out + ".json"
-            with open(path, "w") as f:
+            with _open_output(path) as f:
                 json.dump(table.to_json_dict(), f, indent=1)
             print(f"wrote {path}")
         else:
@@ -155,8 +161,8 @@ def cmd_simulate(args) -> int:
         return _usage_error(e)
     if args.check and (cfg.p is not None or cfg.r != 1 or cfg.s != 3):
         return _usage_error("--check applies to the r=1, s=3 GF(2) models")
+    _check_outputs(args.records, args.out)
     records, summary = run_campaign(cfg, trials=args.trials, workers=args.workers,
-                                    omega=args.omega, window_a=args.window_a,
                                     guard=args.guard)
     print(f"model {summary.model} n={summary.n} trials={summary.trials} "
           f"seed={summary.master_seed} wall={summary.wall_s:.1f}s")
@@ -172,7 +178,7 @@ def cmd_simulate(args) -> int:
     if summary.lam_pos_trials:
         print(f"simple-sequence pass rates over {summary.lam_pos_trials} "
               f"lam>=1 trials: a=1 {summary.simple_a1_pass / summary.lam_pos_trials:.3f}, "
-              f"a={args.window_a:g} {summary.simple_a4_pass / summary.lam_pos_trials:.3f}")
+              f"a={WINDOW_A:g} {summary.simple_a4_pass / summary.lam_pos_trials:.3f}")
     if args.records:
         write_records_jsonl(records, args.records)
         print(f"wrote {args.records}")
@@ -181,10 +187,10 @@ def cmd_simulate(args) -> int:
             if args.format == "csv":
                 f.write(summary_to_csv(summary))
             else:
-                json.dump(summary.to_json_dict(), f, indent=1)
+                json.dump(summary.to_json_dict(), f, indent=1, allow_nan=False)
         print(f"wrote {args.out}")
     if args.check:
-        table = theory.build_table(model=cfg.replacement, d_max=args.dmax)
+        table = theory.build_table(model=cfg.replacement)
         fit = compare_to_theory(summary, table)
         checks = headline_checks(summary, fit, table)
         print(f"corank0 emp={fit.corank0_emp:.4f} theory={fit.corank0_theory:.4f} "
@@ -225,8 +231,7 @@ def cmd_analyze(args) -> int:
     else:
         assert isinstance(m, BitMatrix)
         try:
-            rep = analyze_matrix(m, omega=args.omega, window_a=args.window_a,
-                                 guard=args.guard)
+            rep = analyze_matrix(m, guard=args.guard)
         except GuardExceeded as e:
             return _usage_error(e)
         print(f"gf2 n_rows={m.n_rows} n_cols={m.n_cols}")
@@ -235,7 +240,7 @@ def cmd_analyze(args) -> int:
         print(f"anomalies={rep.anomalies} omega={rep.omega} window_a={rep.window_a}")
         out = rep.to_json_dict()
     if args.out:
-        with open(args.out, "w") as f:
+        with _open_output(args.out) as f:
             json.dump(out, f, indent=1)
         print(f"wrote {args.out}")
     return 0
@@ -262,7 +267,8 @@ def cmd_sweep(args) -> int:
                    for n in args.n_list]
     except ValueError as e:
         return _usage_error(e)
-    table = theory.build_table(model=args.replacement, d_max=args.dmax)
+    _check_outputs(args.out)
+    table = theory.build_table(model=args.replacement)
     rows = []
     print(f"seed={args.seed} trials={args.trials} model={args.replacement}")
     print(f"{'n':>6} {'p0_emp':>8} {'p0_thy':>8} {'tv':>7} {'sig_mean':>9} "
@@ -297,7 +303,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--replacement", choices=theory.REPLACEMENTS, default=theory.WITHOUT)
     p.add_argument("--gamma", type=float, default=None,
                    help="evaluate the GF(t) rate phi_t at this gamma instead")
-    p.add_argument("--dmax", type=_nonnegative_int, default=12)
     p.add_argument("--tol", type=float, default=1e-9)
     p.add_argument("--out", type=str, default=None)
     p.add_argument("--format", choices=["json", "csv"], default="json")
@@ -308,7 +313,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_analysis_flags(p)
     p.add_argument("--trials", type=_positive_int, default=1000)
     p.add_argument("--workers", type=_positive_int, default=1)
-    p.add_argument("--dmax", type=_nonnegative_int, default=12)
     p.add_argument("--records", type=str, default=None, help="JSONL record path")
     p.add_argument("--out", type=str, default=None, help="summary output path")
     p.add_argument("--format", choices=["json", "csv"], default="json",
@@ -340,7 +344,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trials", type=_positive_int, default=2000)
     p.add_argument("--seed", type=_nonnegative_int, default=0)
     p.add_argument("--workers", type=_positive_int, default=1)
-    p.add_argument("--dmax", type=_nonnegative_int, default=12)
     p.add_argument("--out", type=str, default=None)
     p.set_defaults(fn=cmd_sweep)
     return ap
@@ -348,7 +351,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    return args.fn(args)
+    try:
+        return args.fn(args)
+    except _Unwritable as e:
+        return _usage_error(e)
 
 
 if __name__ == "__main__":

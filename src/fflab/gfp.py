@@ -270,16 +270,16 @@ def gfp_rank_nullspace(m: PrimeFieldMatrix) -> tuple[int, list[np.ndarray]]:
     cut = np.searchsorted(nz, starts).tolist()
     ls = (nz - np.repeat(starts[:-1], np.diff(cut))).tolist()
     cs = low[nz].tolist()
+    row_of = np.argsort(label).tolist()  # the inverse permutation of label
     vectors = []
     for j in free:
-        x = [0] * nr
-        x[j] = 1
+        x = {j: 1}  # the nonzero coefficients, by label
         for q, a, b in zip(above, cut, cut[1:]):
             if q > j:
-                x[q] = -sum(x[l] * c for l, c in zip(ls[a:b], cs[a:b])) % p
-        x = np.array(x, dtype=np.int64)[label]  # back to the original rows
-        support = np.flatnonzero(x)
-        vectors += lanes.pack(1, np.zeros_like(support), support, x[support])
+                xq = -sum(x.get(l, 0) * c for l, c in zip(ls[a:b], cs[a:b])) % p
+                if xq:
+                    x[q] = xq
+        vectors.append(sum(v << (row_of[l] * w) for l, v in x.items()))  # on the original rows
     return len(pivots), [lanes.unpack(v) for v in _canonical(vectors, lanes)]
 
 

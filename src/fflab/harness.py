@@ -22,7 +22,7 @@ from typing import Callable, Iterable, NamedTuple, Sequence
 
 import mpmath
 
-from .analyzer import GuardExceeded, analyze_matrix, default_omega
+from .analyzer import GuardExceeded, analyze_matrix
 from .gf2 import BitMatrix, gf2_rank_nullspace
 from .gfp import PrimeFieldMatrix, gfp_rank
 from .models import ModelConfig, functional_graph_components, sample
@@ -72,8 +72,7 @@ _REPORT_FIELDS = ("rank", "sigma", "lam", "weights", "disjoint_violations",
                   "intersection_flags", "large_basis_deficit")
 
 
-def run_trial(cfg: ModelConfig, trial: int, omega: int | None = None,
-              window_a: float = 4.0, guard: int = 20) -> TrialRecord:
+def run_trial(cfg: ModelConfig, trial: int, guard: int = 20) -> TrialRecord:
     """Sample one matrix, eliminate, analyse; never raises on guard hits."""
     t0 = time.perf_counter()
     m = sample(cfg, trial)
@@ -82,7 +81,7 @@ def run_trial(cfg: ModelConfig, trial: int, omega: int | None = None,
         found = {"rank": rank, "corank": m.n_rows - rank}
     else:
         try:
-            rep = analyze_matrix(m, omega=omega, window_a=window_a, guard=guard)
+            rep = analyze_matrix(m, guard=guard)
         except GuardExceeded as e:
             found = {"rank": m.n_rows - e.dimension, "corank": e.dimension,
                      "guard_exceeded": True}
@@ -117,6 +116,8 @@ class CampaignSummary:
 
     def to_json_dict(self) -> dict:
         d = dict(self.__dict__)
+        if math.isnan(self.sigma_dispersion):  # no dispersion without a mean; NaN is not JSON
+            d["sigma_dispersion"] = None
         d["joint_hist"] = {f"{s},{l}": c for (s, l), c in sorted(self.joint_hist.items())}
         d["corank_hist"] = {str(k): v for k, v in sorted(self.corank_hist.items())}
         return d
@@ -178,13 +179,12 @@ def _pool_map(fn, items: Iterable, workers: int):
 
 
 def run_campaign(cfg: ModelConfig, trials: int, workers: int = 1,
-                 omega: int | None = None, window_a: float = 4.0,
                  guard: int = 20) -> tuple[list[TrialRecord], CampaignSummary]:
     """Run `trials` seeded trials; records come back ordered by trial index."""
     if trials < 1:
         raise ValueError("trials must be >= 1")
     t0 = time.perf_counter()
-    fn = partial(run_trial, cfg, omega=omega, window_a=window_a, guard=guard)
+    fn = partial(run_trial, cfg, guard=guard)
     records = _pool_map(fn, range(trials), workers)
     summary = summarize(records, cfg.master_seed)
     summary.wall_s = time.perf_counter() - t0
@@ -205,7 +205,7 @@ def read_records_jsonl(path: str) -> list[TrialRecord]:
 def summary_to_csv(summary: CampaignSummary) -> str:
     """Flat CSV form: kind,key1,key2,value rows (scalars, then histograms)."""
     rows = [["kind", "key1", "key2", "value"]]
-    for k, v in summary.to_json_dict().items():
+    for k, v in vars(summary).items():
         if k in ("corank_hist", "joint_hist"):
             continue
         rows.append(["scalar", k, "", repr(v) if isinstance(v, float) else str(v)])

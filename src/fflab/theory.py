@@ -113,9 +113,9 @@ def phi_t(gamma: float, tol: float = 1e-9) -> float:
         return float(_phi_mp(WITHOUT, tol, gamma)[0])
 
 
-def _pi_product_length(q: int = 2) -> int:
+def _pi_product_length() -> int:
     jmax = 1
-    while float(q) ** -jmax >= _PRODUCT_TRUNC:
+    while 2.0 ** -jmax >= _PRODUCT_TRUNC:
         jmax += 1
     return jmax
 
@@ -123,30 +123,24 @@ def _pi_product_length(q: int = 2) -> int:
 # _pi_mp and _p_star_mp are memoized; every caller holds mp.workdps(50), so
 # no cached value was computed at a lower precision.
 @functools.cache
-def _pi_mp(k: int, q: int = 2) -> "mpf":
-    jmax = _pi_product_length(q)
+def _pi_mp(k: int) -> "mpf":
+    jmax = _pi_product_length()
 
     def prod(j0: int, j1: int) -> "mpf":
         out = mpf(1)
         for j in range(j0, j1 + 1):
-            out *= 1 - mpf(q) ** -j
+            out *= 1 - mpf(2) ** -j
         return out
 
-    return prod(k + 1, jmax) / prod(1, k) * mpf(q) ** (-k * k)
+    return prod(k + 1, jmax) / prod(1, k) * mpf(2) ** (-k * k)
 
 
-def pi_k(k: int, q: int = 2) -> float:
-    """Limiting probability that the large part spans dimension k.
-
-    The q parameter substitutes 1/q for the 1/2 factors (the GF(t)
-    analogue); only q=2 is exercised by the acceptance surface.
-    """
+def pi_k(k: int) -> float:
+    """Limiting probability that the large part spans dimension k."""
     if k < 0:
         raise ValueError("k must be >= 0")
-    if q < 2:
-        raise ValueError("q must be >= 2")
     with mp.workdps(50):
-        return float(_pi_mp(k, q))
+        return float(_pi_mp(k))
 
 
 def gaussian_binomial(m: int, r: int, q: int) -> int:
@@ -287,16 +281,16 @@ def gft_corank_distribution(gamma: float, alpha: float, d_max: int,
     return [math.exp(-ph) * ph ** d / math.factorial(d) for d in range(d_max + 1)]
 
 
-def verify_q_system(k_max: int, lam_terms: int = 60) -> float:
+def verify_q_system(k_max: int) -> float:
     """Max residual |sum_{lam>=k} pi(lam) prod_{i<k}(2^lam - 2^i) - 1|
-    over k = 0..k_max, with lam summed to k + lam_terms."""
+    over k = 0..k_max, with lam summed to k + 60."""
     if k_max > 8:
         raise ValueError("k_max must be <= 8")
     worst = 0.0
     with mp.workdps(50):
         for k in range(k_max + 1):
             total = mpf(0)
-            for lam in range(k, k + lam_terms + 1):
+            for lam in range(k, k + 61):
                 prod = mpf(1)
                 for i in range(k):
                     prod *= mpf(2) ** lam - mpf(2) ** i
@@ -329,8 +323,8 @@ class TheoryTable:
 
     model: str
     phi: float
-    pi: tuple[float, ...]                          # k = 0..k_max
-    p_star: dict[tuple[int, int, int], float]      # (h, r, m)
+    pi: tuple[float, ...]                          # k = 0..12
+    p_star: dict[tuple[int, int, int], float]      # (h, r, m), h + r and m <= 8
     joint: dict[tuple[int, int], float]            # (sigma, lambda)
     corank: tuple[float, ...]                      # d = 0..d_max
     tol: float
@@ -357,20 +351,16 @@ class TheoryTable:
         }
 
 
-def build_table(model: str = WITHOUT, d_max: int = 12, k_max: int = 12,
-                pstar_max: int = 8, tol: float = 1e-9) -> TheoryTable:
+def build_table(model: str = WITHOUT, d_max: int = 12, tol: float = 1e-9) -> TheoryTable:
     """Assemble the full theory table; normalisation is checked here."""
-    for name, size in (("d_max", d_max), ("k_max", k_max), ("pstar_max", pstar_max)):
-        if size < 0:
-            raise ValueError(f"{name} must be >= 0")
+    if d_max < 0:
+        raise ValueError("d_max must be >= 0")
     span = max(d_max, 12)   # normalisation is contractual at 12 cells
     with mp.workdps(50):
         ph, terms = _phi_mp(model, tol)
-        pi_vals = tuple(float(_pi_mp(k)) for k in range(max(k_max, 12) + 1))
+        pi_vals = tuple(float(_pi_mp(k)) for k in range(13))
         pstar = {(k - r, r, m): float(_p_star_mp(k - r, r, m))
-                 for m in range(pstar_max + 1)
-                 for k in range(pstar_max + 1)
-                 for r in range(min(m, k) + 1)}
+                 for m in range(9) for k in range(9) for r in range(min(m, k) + 1)}
         joint_mp = {(s, l): _p_joint_mp(s, l, ph)
                     for s in range(span + 1) for l in range(span + 1)}
         corank_full = tuple(float(sum(joint_mp[s, d - s] for s in range(d + 1)))
@@ -382,6 +372,6 @@ def build_table(model: str = WITHOUT, d_max: int = 12, k_max: int = 12,
             raise AssertionError(f"{label} table fails normalisation: {total}")
     joint = {(s, l): v for (s, l), v in joint_full.items()
              if s <= d_max and l <= d_max}
-    return TheoryTable(model=model, phi=float(ph), pi=pi_vals[:k_max + 1],
+    return TheoryTable(model=model, phi=float(ph), pi=pi_vals,
                        p_star=pstar, joint=joint, corank=corank_full[:d_max + 1],
                        tol=tol, phi_terms=terms, pi_factors=_pi_product_length())

@@ -70,6 +70,18 @@ class TestSimulateCommand:
         assert summary["master_seed"] == 42
         assert "seed=42" in capsys.readouterr().out
 
+    def test_summary_json_is_strict(self, tmp_path, capsys):
+        # a GF(p) campaign has no sigma, so no dispersion: null, not NaN
+        out = tmp_path / "s.json"
+        assert run_cli("simulate", "--p", "3", "--gft-model", "1", "--n", "60",
+                       "--trials", "5", "--out", str(out)) == 0
+
+        def refuse(constant):
+            raise ValueError(f"{constant} is not JSON")
+
+        summary = json.loads(out.read_text(), parse_constant=refuse)
+        assert summary["sigma_dispersion"] is None
+
     def test_check_requires_comparable_model(self, tmp_path, monkeypatch, capsys):
         def no_campaign(*args, **kwargs):
             raise AssertionError("sampled before rejecting the model")
@@ -198,12 +210,12 @@ class TestUsageErrors:
         (("sweep", "--n-list", "a"), "--n-list"),
         (("sweep", "--n-list", "250,0"), "--n-list"),
         (("audit", "--n", "0"), "--n"),
-        (("theory", "--dmax", "-1"), "--dmax"),
-        (("simulate", "--check", "--dmax", "-1"), "--dmax"),
-        (("simulate", "--n", "50", "--trials", "2", "--window-a", "-1"), "--window-a"),
-        (("simulate", "--window-a", "nan"), "--window-a"),
-        (("analyze", "--window-a", "-1"), "--window-a"),
-        (("analyze", "--omega", "-3"), "--omega"),
+        (("simulate", "--n", "0"), "--n"),
+        (("analyze", "--n", "x", "--trial", "0"), "--n"),
+        (("sweep", "--trials", "0"), "--trials"),
+        (("audit", "--trials", "1.5"), "--trials"),
+        (("sweep", "--n-list", "250,,500"), "--n-list"),
+        (("analyze", "--trial", "0", "--guard", "-1"), "--guard"),
         (("simulate", "--guard", "-1", "--check"), "--guard"),
         (("simulate", "--workers", "0"), "--workers"),
         (("audit", "--workers", "-2"), "--workers"),
@@ -219,6 +231,38 @@ class TestUsageErrors:
             run_cli(*argv)
         assert e.value.code == 2
         assert f"argument {flag}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command, flag", [
+        ("simulate", "--omega"), ("simulate", "--window-a"), ("simulate", "--dmax"),
+        ("analyze", "--omega"), ("analyze", "--window-a"), ("theory", "--dmax"),
+        ("sweep", "--dmax")])
+    def test_removed_flag_is_refused(self, command, flag, capsys):
+        # omega, a and the theory grid are fixed; no flag sets them
+        sizes = {"simulate": ("--n", "20", "--trials", "1"),
+                 "analyze": ("--n", "20", "--trial", "0"),
+                 "theory": (), "sweep": ("--n-list", "20", "--trials", "1")}
+        with pytest.raises(SystemExit) as e:
+            run_cli(command, *sizes[command], flag, "4")
+        assert e.value.code == 2
+        assert f"unrecognized arguments: {flag} 4" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ("theory", "--out"),
+        ("theory", "--gamma", "0.5", "--out"),
+        ("simulate", "--n", "20", "--trials", "1", "--records"),
+        ("simulate", "--n", "20", "--trials", "1", "--out"),
+        ("analyze", "--n", "20", "--trial", "0", "--out"),
+        ("sweep", "--n-list", "20", "--trials", "1", "--out"),
+    ], ids=["theory", "theory-gamma", "simulate-records", "simulate-out", "analyze", "sweep"])
+    def test_unwritable_output_exits_2(self, argv, tmp_path, monkeypatch, capsys):
+        def no_campaign(*args, **kwargs):
+            raise AssertionError("ran the campaign before checking the output path")
+
+        monkeypatch.setattr(cli, "run_campaign", no_campaign)
+        path = tmp_path / "missing" / "out.json"
+        assert run_cli(*argv, str(path)) == 2
+        assert f"error: {path}: No such file or directory" in capsys.readouterr().err
+        assert not path.parent.exists()
 
     @pytest.mark.parametrize("n_list", ["2", "60,2"])
     def test_sweep_model_error_exits_2(self, n_list, monkeypatch, capsys):

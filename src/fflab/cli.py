@@ -23,7 +23,6 @@ from .harness import (
     headline_checks,
     run_campaign,
     special_case_audits,
-    summary_to_csv,
     write_records_jsonl,
 )
 from .models import MatrixParseError, ModelConfig, parse_matrix, sample
@@ -97,29 +96,6 @@ def _config_from_args(args) -> ModelConfig:
                        f_dist=f_dist, master_seed=args.seed)
 
 
-def _write_table_csv(table: theory.TheoryTable, prefix: str) -> list[str]:
-    files = [
-        ("scalars", ["key", "value"],
-         [["model", table.model], ["phi", repr(table.phi)], ["tol", repr(table.tol)],
-          ["phi_terms", table.phi_terms], ["pi_factors", table.pi_factors],
-          ["full_rank_probability", repr(table.full_rank_probability)]]),
-        ("pi", ["k", "pi"], enumerate(table.pi)),
-        ("corank", ["d", "probability"], enumerate(table.corank)),
-        ("joint", ["sigma", "lambda", "probability"],
-         ((*key, v) for key, v in sorted(table.joint.items()))),
-        ("pstar", ["h", "r", "m", "probability"],
-         ((*key, v) for key, v in sorted(table.p_star.items()))),
-    ]
-    paths = []
-    for suffix, header, rows in files:
-        paths.append(f"{prefix}_{suffix}.csv")
-        with _open_output(paths[-1], newline="") as f:
-            w = csv.writer(f)
-            w.writerow(header)
-            w.writerows(rows)
-    return paths
-
-
 def cmd_theory(args) -> int:
     if args.gamma is not None:
         try:
@@ -143,14 +119,9 @@ def cmd_theory(args) -> int:
     print("corank distribution:",
           " ".join(f"{d}:{v:.5f}" for d, v in enumerate(table.corank[:6])))
     if args.out:
-        if args.format == "json":
-            path = args.out if args.out.endswith(".json") else args.out + ".json"
-            with _open_output(path) as f:
-                json.dump(table.to_json_dict(), f, indent=1)
-            print(f"wrote {path}")
-        else:
-            for path in _write_table_csv(table, args.out):
-                print(f"wrote {path}")
+        with _open_output(args.out) as f:
+            json.dump(table.to_json_dict(), f, indent=1)
+        print(f"wrote {args.out}")
     return 0
 
 
@@ -184,10 +155,7 @@ def cmd_simulate(args) -> int:
         print(f"wrote {args.records}")
     if args.out:
         with open(args.out, "w") as f:
-            if args.format == "csv":
-                f.write(summary_to_csv(summary))
-            else:
-                json.dump(summary.to_json_dict(), f, indent=1, allow_nan=False)
+            json.dump(summary.to_json_dict(), f, indent=1, allow_nan=False)
         print(f"wrote {args.out}")
     if args.check:
         table = theory.build_table(model=cfg.replacement)
@@ -300,12 +268,13 @@ def build_parser() -> argparse.ArgumentParser:
     sub = ap.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("theory", help="compute exact limiting tables")
-    p.add_argument("--replacement", choices=theory.REPLACEMENTS, default=theory.WITHOUT)
-    p.add_argument("--gamma", type=float, default=None,
-                   help="evaluate the GF(t) rate phi_t at this gamma instead")
+    # phi_t is a without-replacement rate, so --replacement cannot change it
+    mode = p.add_mutually_exclusive_group()
+    mode.add_argument("--replacement", choices=theory.REPLACEMENTS, default=theory.WITHOUT)
+    mode.add_argument("--gamma", type=float, default=None,
+                      help="evaluate the GF(t) rate phi_t at this gamma instead")
     p.add_argument("--tol", type=float, default=1e-9)
     p.add_argument("--out", type=str, default=None)
-    p.add_argument("--format", choices=["json", "csv"], default="json")
     p.set_defaults(fn=cmd_theory)
 
     p = sub.add_parser("simulate", help="run a seeded campaign")
@@ -315,8 +284,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--workers", type=_positive_int, default=1)
     p.add_argument("--records", type=str, default=None, help="JSONL record path")
     p.add_argument("--out", type=str, default=None, help="summary output path")
-    p.add_argument("--format", choices=["json", "csv"], default="json",
-                   help="summary format (default json)")
     p.add_argument("--check", action="store_true",
                    help="compare to theory; exit 1 on threshold failure")
     p.set_defaults(fn=cmd_simulate)

@@ -270,15 +270,18 @@ def gfp_rank_nullspace(m: PrimeFieldMatrix) -> tuple[int, list[np.ndarray]]:
     cut = np.searchsorted(nz, starts).tolist()
     ls = (nz - np.repeat(starts[:-1], np.diff(cut))).tolist()
     cs = low[nz].tolist()
+    runs = [dict(zip(ls[a:b], cs[a:b])) for a, b in zip(cut, cut[1:])]
     row_of = np.argsort(label).tolist()  # the inverse permutation of label
     vectors = []
     for j in free:
         x = {j: 1}  # the nonzero coefficients, by label
-        for q, a, b in zip(above, cut, cut[1:]):
-            if q > j:
-                xq = -sum(x.get(l, 0) * c for l, c in zip(ls[a:b], cs[a:b])) % p
-                if xq:
-                    x[q] = xq
+        start = bisect_right(above, j)
+        for q, run in zip(above[start:], runs[start:]):
+            # x holds labels below q alone; sum over the smaller of x and the run
+            small, big = (x, run) if len(x) < len(run) else (run, x)
+            xq = -sum(c * big.get(l, 0) for l, c in small.items()) % p
+            if xq:
+                x[q] = xq
         vectors.append(sum(v << (row_of[l] * w) for l, v in x.items()))  # on the original rows
     return len(pivots), [lanes.unpack(v) for v in _canonical(vectors, lanes)]
 

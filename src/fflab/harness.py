@@ -202,20 +202,6 @@ def read_records_jsonl(path: str) -> list[TrialRecord]:
         return [TrialRecord.from_json_line(line) for line in f if line.strip()]
 
 
-def summary_to_csv(summary: CampaignSummary) -> str:
-    """Flat CSV form: kind,key1,key2,value rows (scalars, then histograms)."""
-    rows = [["kind", "key1", "key2", "value"]]
-    for k, v in vars(summary).items():
-        if k in ("corank_hist", "joint_hist"):
-            continue
-        rows.append(["scalar", k, "", repr(v) if isinstance(v, float) else str(v)])
-    for d, c in sorted(summary.corank_hist.items()):
-        rows.append(["corank", str(d), "", str(c)])
-    for (s, l), c in sorted(summary.joint_hist.items()):
-        rows.append(["joint", str(s), str(l), str(c)])
-    return "\n".join(",".join(r) for r in rows) + "\n"
-
-
 def _tv(emp_counts: dict, theory_probs: dict, trials: int) -> float:
     """Total variation with an explicit tail cell for mass beyond the grid."""
     tv = 0.0

@@ -274,6 +274,8 @@ def gft_corank_distribution(gamma: float, alpha: float, d_max: int,
     Valid only under alpha <= 2 gamma <= 1; outside that hypothesis the
     calculator refuses rather than extrapolates.
     """
+    if d_max < 0:
+        raise ValueError("d_max must be >= 0")
     if not alpha <= 2 * gamma <= 1:
         raise ValueError(f"outside the validity hypothesis: need alpha <= 2*gamma <= 1, "
                          f"got alpha={alpha}, gamma={gamma}")
@@ -284,8 +286,8 @@ def gft_corank_distribution(gamma: float, alpha: float, d_max: int,
 def verify_q_system(k_max: int) -> float:
     """Max residual |sum_{lam>=k} pi(lam) prod_{i<k}(2^lam - 2^i) - 1|
     over k = 0..k_max, with lam summed to k + 60."""
-    if k_max > 8:
-        raise ValueError("k_max must be <= 8")
+    if not 0 <= k_max <= 8:
+        raise ValueError(f"k_max must lie in 0..8, got {k_max}")
     worst = 0.0
     with mp.workdps(50):
         for k in range(k_max + 1):

@@ -36,20 +36,15 @@ class TestTheoryCommand:
         assert "0.115133" in capsys.readouterr().out
 
     def test_json_output(self, tmp_path, capsys):
-        out = tmp_path / "table.json"
-        assert run_cli("theory", "--out", str(out)) == 0
-        table = json.loads(out.read_text())
-        assert table["model"] == "without"
-        assert abs(table["corank"][0] - 0.2574) < 5e-4
-
-    def test_csv_output(self, tmp_path, capsys):
-        prefix = str(tmp_path / "t")
-        assert run_cli("theory", "--format", "csv", "--out", prefix) == 0
-        for suffix in ("_scalars.csv", "_pi.csv", "_corank.csv", "_joint.csv",
-                       "_pstar.csv"):
-            assert (tmp_path / ("t" + suffix)).exists()
-        scalars = (tmp_path / "t_scalars.csv").read_text()
-        assert "phi" in scalars
+        # --out is the path itself, with or without a .json suffix
+        for name in ("table.json", "table"):
+            out = tmp_path / name
+            assert run_cli("theory", "--out", str(out)) == 0
+            assert capsys.readouterr().out.endswith(f"wrote {out}\n")
+            table = json.loads(out.read_text())
+            assert table["model"] == "without"
+            assert abs(table["corank"][0] - 0.2574) < 5e-4
+        assert sorted(path.name for path in tmp_path.iterdir()) == ["table", "table.json"]
 
 
 class TestSimulateCommand:
@@ -225,6 +220,7 @@ class TestUsageErrors:
         (("audit", "--seed", "-1"), "--seed"),
         (("sweep", "--seed", "-1"), "--seed"),
         (("analyze", "--trial", "-1"), "--trial"),
+        (("theory", "--gamma", "0.5", "--replacement", "with"), "--replacement"),
     ])
     def test_out_of_range_value_exits_2(self, argv, flag, capsys):
         with pytest.raises(SystemExit) as e:
@@ -235,9 +231,10 @@ class TestUsageErrors:
     @pytest.mark.parametrize("command, flag", [
         ("simulate", "--omega"), ("simulate", "--window-a"), ("simulate", "--dmax"),
         ("analyze", "--omega"), ("analyze", "--window-a"), ("theory", "--dmax"),
-        ("sweep", "--dmax")])
+        ("sweep", "--dmax"), ("theory", "--format"), ("simulate", "--format")])
     def test_removed_flag_is_refused(self, command, flag, capsys):
-        # omega, a and the theory grid are fixed; no flag sets them
+        # omega, a and the theory grid are fixed, and JSON is the one output
+        # format; no flag sets them
         sizes = {"simulate": ("--n", "20", "--trials", "1"),
                  "analyze": ("--n", "20", "--trial", "0"),
                  "theory": (), "sweep": ("--n-list", "20", "--trials", "1")}

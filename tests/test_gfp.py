@@ -196,6 +196,19 @@ def test_canonical_pass_is_linear_in_its_hits():
                for i, x in enumerate(basis, start=1))
 
 
+def test_back_substitution_is_bounded_by_the_support():
+    # one column, set in every row: one pivot whose run spans all 3999
+    # other rows, and each null vector has two nonzero coefficients
+    n = 4000
+    t0 = time.perf_counter()
+    rank, basis = gfp_rank_nullspace(PrimeFieldMatrix(3, n, 1, list(range(n)), [0] * n,
+                                                      [1] * n))
+    assert time.perf_counter() - t0 < 0.5
+    assert rank == 1 and len(basis) == n - 1
+    assert all(np.flatnonzero(x).tolist() == [0, i] and x[i] == 1 and x[0] == 2
+               for i, x in enumerate(basis, start=1))
+
+
 def test_gf3_model1_all_ones_annihilates():
     cfg = ModelConfig(n=40, p=3, gft_model=1, master_seed=3)
     m = sample_gft(cfg, 0)

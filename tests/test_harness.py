@@ -132,17 +132,6 @@ class TestSummaries:
         assert all(isinstance(k, str) for k in d["joint_hist"])
         json.dumps(d)  # must be serialisable as-is
 
-    def test_summary_csv_form(self):
-        from fflab.harness import summary_to_csv
-        _, summary = small_campaign(trials=20)
-        csv_text = summary_to_csv(summary)
-        lines = csv_text.strip().splitlines()
-        assert lines[0] == "kind,key1,key2,value"
-        kinds = {line.split(",")[0] for line in lines[1:]}
-        assert {"scalar", "corank", "joint"} <= kinds
-        corank_rows = [l for l in lines if l.startswith("corank,")]
-        assert sum(int(l.split(",")[3]) for l in corank_rows) == 20
-
     def test_gfp_records_have_no_sigma(self):
         cfg = ModelConfig(n=30, p=3, gft_model=1, master_seed=4)
         records, summary = run_campaign(cfg, trials=5)

@@ -1,7 +1,8 @@
-"""Every module-level import in the package and the scripts is read.
+"""Every module-level import in the package and the scripts is read, and
+so is every module-level private name the package defines.
 
-__init__.py is skipped, since its imports are the package's re-exports,
-and so are ``from __future__`` imports.
+__init__.py is skipped by the import check, since its imports are the
+package's re-exports, and so are ``from __future__`` imports.
 """
 import ast
 import pathlib
@@ -33,3 +34,37 @@ def test_no_unused_imports():
     found = [line for path in paths if path.name != "__init__.py"
              for line in unused_imports(path)]
     assert not found, "unused imports:\n" + "\n".join(found)
+
+
+def unread_private_names(paths: list[pathlib.Path]) -> list[str]:
+    """'file:line: name' for each private (not dunder) name that a
+    module-level def, class or assignment binds and that no module of
+    `paths` reads, by name or as an attribute."""
+    read, defined = set(), []
+    for path in paths:
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                read.add(node.attr)
+        for stmt in tree.body:
+            if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                names = [stmt.name]
+            elif isinstance(stmt, (ast.Assign, ast.AnnAssign)):
+                targets = stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
+                names = [node.id for target in targets for node in ast.walk(target)
+                         if isinstance(node, ast.Name)]
+            else:
+                continue
+            defined += [(path, stmt.lineno, name) for name in names
+                        if name.startswith("_") and not name.endswith("__")]
+    return [f"{path.relative_to(ROOT)}:{line}: {name}"
+            for path, line, name in defined if name not in read]
+
+
+def test_no_unread_private_names():
+    paths = sorted(ROOT.glob("src/fflab/*.py"))
+    assert paths
+    found = unread_private_names(paths)
+    assert not found, "private names nothing reads:\n" + "\n".join(found)

@@ -315,7 +315,11 @@ class TestTable:
             call()
         assert time.perf_counter() - t0 < 1.0
 
-    @pytest.mark.parametrize("size", ["d_max"])
-    def test_negative_sizes_rejected(self, size):
+    @pytest.mark.parametrize("size, call", [
+        pytest.param("d_max", lambda: theory.build_table(d_max=-1), id="d_max"),
+        pytest.param("k_max", lambda: theory.verify_q_system(-1), id="q_system-k_max"),
+        pytest.param("d_max", lambda: theory.gft_corank_distribution(0.5, 0.5, -1),
+                     id="gft-d_max")])
+    def test_negative_sizes_rejected(self, size, call):
         with pytest.raises(ValueError, match=size):
-            theory.build_table(**{size: -1})
+            call()

@@ -29,6 +29,7 @@ from .theory import window_halfwidth
 
 
 WINDOW_A = 4.0  # the large band is J_a at this a
+GUARD = 20  # the largest null-space dimension enumerate_codewords accepts
 
 
 class GuardExceeded(RuntimeError):
@@ -61,16 +62,16 @@ def _gray(vectors: Sequence[int]):
         yield cur
 
 
-def enumerate_codewords(basis: Sequence[int], guard: int = 20) -> list[tuple[int, int]]:
+def enumerate_codewords(basis: Sequence[int]) -> list[tuple[int, int]]:
     """All 2^d - 1 nonzero codewords as (support, weight), Gray-code order.
 
-    Refuses outright when d exceeds the guard; the models analysed here
+    Refuses outright when d exceeds GUARD; the models analysed here
     have d = O(1) with high probability, so a hit indicates a bug
     upstream and silent truncation would hide it.
     """
     d = len(basis)
-    if d > guard:
-        raise GuardExceeded(f"null-space dimension {d} exceeds guard {guard}", d)
+    if d > GUARD:
+        raise GuardExceeded(f"null-space dimension {d} exceeds guard {GUARD}", d)
     return [(c, c.bit_count()) for c in _gray(basis)]
 
 
@@ -115,14 +116,16 @@ def connected_functional_digraph(m: BitMatrix, support: int) -> bool:
 
 
 def greedy_large_basis(codewords: list[tuple[int, int]], small_supports: list[int],
-                       n: int, omega: int, window_a: float) -> list[int]:
+                       n: int) -> list[int]:
     """Independent set of large codewords, greedy in enumeration order.
 
     Independence is taken modulo the span of the small supports, so no
     two picks differ by a small dependency: a large codeword is picked
     iff it does not reduce to zero against the smalls and earlier ones.
+    Large means a weight above default_omega(n) and inside J_a, a = WINDOW_A.
     """
-    large = [c for c, w in codewords if w > omega and in_large_window(w, n, window_a)]
+    omega = default_omega(n)
+    large = [c for c, w in codewords if w > omega and in_large_window(w, n, WINDOW_A)]
     reduced = list(_reduce([*small_supports, *large]))[len(small_supports):]
     return [c for c, v in zip(large, reduced) if v]
 
@@ -223,9 +226,8 @@ class NullSpaceReport:
         }
 
 
-def classify(codewords: list[tuple[int, int]], n: int, omega: int,
-             window_a: float) -> NullSpaceReport:
-    """Build a report from a complete codeword list.
+def classify(codewords: list[tuple[int, int]], n: int) -> NullSpaceReport:
+    """Report on a complete codeword list at omega = default_omega(n), a = WINDOW_A.
 
     Anomalies are weights in neither band; they are recorded, never
     fatal.  sigma counts fundamental smalls, lambda is d - sigma.
@@ -234,10 +236,11 @@ def classify(codewords: list[tuple[int, int]], n: int, omega: int,
     d = (count + 1).bit_length() - 1
     if (1 << d) - 1 != count:
         raise ValueError("codeword list is not complete (expected 2^d - 1 entries)")
+    omega = default_omega(n)
     weights = [w for _, w in codewords]
     fundamentals = fundamental_small(codewords, omega)
     anomalies = [w for w in weights
-                 if w > omega and not in_large_window(w, n, window_a)]
+                 if w > omega and not in_large_window(w, n, WINDOW_A)]
     sigma = len(fundamentals)
     return NullSpaceReport(
         n_rows=n,
@@ -249,31 +252,28 @@ def classify(codewords: list[tuple[int, int]], n: int, omega: int,
         small_supports=fundamentals,
         anomalies=anomalies,
         omega=omega,
-        window_a=window_a,
         disjoint_violations=count_overlapping_pairs(fundamentals),
     )
 
 
-def analyze_matrix(m: BitMatrix, guard: int = 20) -> NullSpaceReport:
+def analyze_matrix(m: BitMatrix) -> NullSpaceReport:
     """Full pipeline at omega = default_omega(n) and a = WINDOW_A: rank,
     null basis, codewords, classification, checks.
 
-    Raises GuardExceeded when the null-space dimension is above the
-    guard.  Every small codeword's fundamental verdict is re-derived
+    Raises GuardExceeded when the null-space dimension is above GUARD.
+    Every small codeword's fundamental verdict is re-derived
     through the connectivity definition, and mismatches are counted.
     """
     n = m.n_rows
-    omega = default_omega(n)
     rank, basis = gf2_rank_nullspace(m)
-    codewords = enumerate_codewords(basis, guard)
-    report = classify(codewords, n, omega, WINDOW_A)
+    codewords = enumerate_codewords(basis)
+    report = classify(codewords, n)
     assert report.rank == rank
     fundamentals = set(report.small_supports)
     for c, w in codewords:
-        if w <= omega and connected_functional_digraph(m, c) != (c in fundamentals):
+        if w <= report.omega and connected_functional_digraph(m, c) != (c in fundamentals):
             report.equiv_violations += 1
-    report.large_basis = greedy_large_basis(codewords, report.small_supports,
-                                            n, omega, WINDOW_A)
+    report.large_basis = greedy_large_basis(codewords, report.small_supports, n)
     report.large_basis_deficit = report.lam - len(report.large_basis)
     if report.large_basis:
         report.simple_a1 = is_simple_sequence(report.large_basis, n, 1.0)

@@ -13,7 +13,7 @@ import json
 import sys
 
 from . import theory
-from .analyzer import WINDOW_A, GuardExceeded, analyze_matrix
+from .analyzer import GUARD, WINDOW_A, GuardExceeded, analyze_matrix
 from .gf2 import BitMatrix
 from .gfp import PrimeFieldMatrix, gfp_rank
 from .harness import (
@@ -82,11 +82,6 @@ def _add_model_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--seed", type=_nonnegative_int, default=0, help="master seed (default 0)")
 
 
-def _add_analysis_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--guard", type=_nonnegative_int, default=20,
-                   help="codeword enumeration guard (default 20)")
-
-
 def _config_from_args(args) -> ModelConfig:
     f_dist = None
     if args.f_dist:
@@ -133,8 +128,7 @@ def cmd_simulate(args) -> int:
     if args.check and (cfg.p is not None or cfg.r != 1 or cfg.s != 3):
         return _usage_error("--check applies to the r=1, s=3 GF(2) models")
     _check_outputs(args.records, args.out)
-    records, summary = run_campaign(cfg, trials=args.trials, workers=args.workers,
-                                    guard=args.guard)
+    records, summary = run_campaign(cfg, trials=args.trials, workers=args.workers)
     print(f"model {summary.model} n={summary.n} trials={summary.trials} "
           f"seed={summary.master_seed} wall={summary.wall_s:.1f}s")
     print("corank histogram:",
@@ -198,8 +192,12 @@ def cmd_analyze(args) -> int:
         out = {"p": m.p, "rank": rank, "corank": m.n_rows - rank}
     else:
         assert isinstance(m, BitMatrix)
+        # rank <= min(n_cols, nnz): refuse a tall matrix before eliminating it
+        least = m.n_rows - min(m.n_cols, m.nonzero()[0].size)
+        if least > GUARD:
+            return _usage_error(f"null-space dimension at least {least} exceeds guard {GUARD}")
         try:
-            rep = analyze_matrix(m, guard=args.guard)
+            rep = analyze_matrix(m)
         except GuardExceeded as e:
             return _usage_error(e)
         print(f"gf2 n_rows={m.n_rows} n_cols={m.n_cols}")
@@ -279,7 +277,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("simulate", help="run a seeded campaign")
     _add_model_flags(p)
-    _add_analysis_flags(p)
     p.add_argument("--trials", type=_positive_int, default=1000)
     p.add_argument("--workers", type=_positive_int, default=1)
     p.add_argument("--records", type=str, default=None, help="JSONL record path")
@@ -290,10 +287,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("analyze", help="analyze a stored or replayed matrix")
     _add_model_flags(p)
-    _add_analysis_flags(p)
-    p.add_argument("--matrix", type=str, default=None, help="matrix fixture path")
-    p.add_argument("--trial", type=_nonnegative_int, default=None,
-                   help="replay trial index")
+    source = p.add_mutually_exclusive_group()
+    source.add_argument("--matrix", type=str, default=None,
+                        help="matrix fixture path; the model flags do not apply to it")
+    source.add_argument("--trial", type=_nonnegative_int, default=None,
+                        help="replay trial index of the model the flags describe")
     p.add_argument("--out", type=str, default=None)
     p.set_defaults(fn=cmd_analyze)
 

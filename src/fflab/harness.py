@@ -72,7 +72,7 @@ _REPORT_FIELDS = ("rank", "sigma", "lam", "weights", "disjoint_violations",
                   "intersection_flags", "large_basis_deficit")
 
 
-def run_trial(cfg: ModelConfig, trial: int, guard: int = 20) -> TrialRecord:
+def run_trial(cfg: ModelConfig, trial: int) -> TrialRecord:
     """Sample one matrix, eliminate, analyse; never raises on guard hits."""
     t0 = time.perf_counter()
     m = sample(cfg, trial)
@@ -81,7 +81,7 @@ def run_trial(cfg: ModelConfig, trial: int, guard: int = 20) -> TrialRecord:
         found = {"rank": rank, "corank": m.n_rows - rank}
     else:
         try:
-            rep = analyze_matrix(m, guard=guard)
+            rep = analyze_matrix(m)
         except GuardExceeded as e:
             found = {"rank": m.n_rows - e.dimension, "corank": e.dimension,
                      "guard_exceeded": True}
@@ -168,8 +168,10 @@ def summarize(records: Sequence[TrialRecord], master_seed: int) -> CampaignSumma
 
 
 def _pool_map(fn, items: Iterable, workers: int):
-    """[fn(x) for x in items], in item order, on `workers` forked processes."""
+    """[fn(x) for x in items], in item order, on `workers` forked processes,
+    at most one per item; a single worker or item runs in this process."""
     items = list(items)
+    workers = min(workers, len(items))
     if workers <= 1:
         return [fn(x) for x in items]
     ctx = multiprocessing.get_context("fork")
@@ -178,14 +180,13 @@ def _pool_map(fn, items: Iterable, workers: int):
         return pool.map(fn, items, chunksize=chunk)
 
 
-def run_campaign(cfg: ModelConfig, trials: int, workers: int = 1,
-                 guard: int = 20) -> tuple[list[TrialRecord], CampaignSummary]:
+def run_campaign(cfg: ModelConfig, trials: int,
+                 workers: int = 1) -> tuple[list[TrialRecord], CampaignSummary]:
     """Run `trials` seeded trials; records come back ordered by trial index."""
     if trials < 1:
         raise ValueError("trials must be >= 1")
     t0 = time.perf_counter()
-    fn = partial(run_trial, cfg, guard=guard)
-    records = _pool_map(fn, range(trials), workers)
+    records = _pool_map(partial(run_trial, cfg), range(trials), workers)
     summary = summarize(records, cfg.master_seed)
     summary.wall_s = time.perf_counter() - t0
     return records, summary
@@ -239,15 +240,13 @@ def compare_to_theory(summary: CampaignSummary, table: TheoryTable) -> FitReport
         raise ValueError(f"model tag mismatch: campaign {summary.model!r} "
                          f"vs theory {expected_tag!r}")
     trials = summary.trials
-    d_max = len(table.corank) - 1
-    corank_probs = {d: table.corank[d] for d in range(d_max + 1)}
+    corank_probs = dict(enumerate(table.corank))
     tv_corank = _tv(summary.corank_hist, corank_probs, trials)
     tv_joint = _tv(summary.joint_hist, table.joint, trials)
 
     # chi-square on corank cells, pooling expected counts below 5 from the tail
-    cells: list[tuple[float, float]] = []   # (observed, expected)
-    for d in range(d_max + 1):
-        cells.append((summary.corank_hist.get(d, 0), trials * table.corank[d]))
+    cells = [(summary.corank_hist.get(d, 0), trials * q)   # (observed, expected)
+             for d, q in corank_probs.items()]
     tail_obs = trials - sum(o for o, _ in cells)
     tail_exp = trials * max(0.0, 1.0 - sum(table.corank))
     cells.append((tail_obs, tail_exp))

@@ -190,11 +190,6 @@ def p_joint(sigma: int, lam: int, phi_value: float) -> float:
         return float(_p_joint_mp(sigma, lam, mpf(phi_value)))
 
 
-def corank_distribution(d_max: int, model: str = WITHOUT, tol: float = 1e-9) -> list[float]:
-    """Pr(corank = d) for d = 0..d_max, as :func:`build_table` sums them."""
-    return list(build_table(model, d_max=d_max, tol=tol).corank)
-
-
 def expected_num_deps(n: int, ell: int, model: str = WITH) -> float:
     """Exact E X_ell, the expected number of ell-row dependencies at
     finite n (r=1, s=3), evaluated in log space via lgamma."""
@@ -328,7 +323,7 @@ class TheoryTable:
     pi: tuple[float, ...]                          # k = 0..12
     p_star: dict[tuple[int, int, int], float]      # (h, r, m), h + r and m <= 8
     joint: dict[tuple[int, int], float]            # (sigma, lambda)
-    corank: tuple[float, ...]                      # d = 0..d_max
+    corank: tuple[float, ...]                      # d = 0..12
     tol: float
     phi_terms: int                                 # series length used for phi
     pi_factors: int                                # product length used for pi
@@ -353,27 +348,21 @@ class TheoryTable:
         }
 
 
-def build_table(model: str = WITHOUT, d_max: int = 12, tol: float = 1e-9) -> TheoryTable:
-    """Assemble the full theory table; normalisation is checked here."""
-    if d_max < 0:
-        raise ValueError("d_max must be >= 0")
-    span = max(d_max, 12)   # normalisation is contractual at 12 cells
+def build_table(model: str = WITHOUT, tol: float = 1e-9) -> TheoryTable:
+    """Assemble the full theory table on the 0..12 grid; normalisation is checked here."""
     with mp.workdps(50):
         ph, terms = _phi_mp(model, tol)
         pi_vals = tuple(float(_pi_mp(k)) for k in range(13))
         pstar = {(k - r, r, m): float(_p_star_mp(k - r, r, m))
                  for m in range(9) for k in range(9) for r in range(min(m, k) + 1)}
-        joint_mp = {(s, l): _p_joint_mp(s, l, ph)
-                    for s in range(span + 1) for l in range(span + 1)}
-        corank_full = tuple(float(sum(joint_mp[s, d - s] for s in range(d + 1)))
-                            for d in range(span + 1))
-        joint_full = {cell: float(v) for cell, v in joint_mp.items()}
-    for label, total in (("pi", sum(pi_vals)), ("corank", sum(corank_full)),
-                         ("joint", sum(joint_full.values()))):
+        joint_mp = {(s, l): _p_joint_mp(s, l, ph) for s in range(13) for l in range(13)}
+        corank = tuple(float(sum(joint_mp[s, d - s] for s in range(d + 1)))
+                       for d in range(13))
+        joint = {cell: float(v) for cell, v in joint_mp.items()}
+    for label, total in (("pi", sum(pi_vals)), ("corank", sum(corank)),
+                         ("joint", sum(joint.values()))):
         if abs(total - 1) > 1e-9:
             raise AssertionError(f"{label} table fails normalisation: {total}")
-    joint = {(s, l): v for (s, l), v in joint_full.items()
-             if s <= d_max and l <= d_max}
     return TheoryTable(model=model, phi=float(ph), pi=pi_vals,
-                       p_star=pstar, joint=joint, corank=corank_full[:d_max + 1],
+                       p_star=pstar, joint=joint, corank=corank,
                        tol=tol, phi_terms=terms, pi_factors=_pi_product_length())

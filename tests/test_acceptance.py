@@ -41,12 +41,12 @@ def _line(cid: str, ok: bool, detail: str) -> bool:
 
 @pytest.fixture(scope="session")
 def table_without():
-    return theory.build_table("without", d_max=12)
+    return theory.build_table("without")
 
 
 @pytest.fixture(scope="session")
 def table_with():
-    return theory.build_table("with", d_max=12)
+    return theory.build_table("with")
 
 
 @pytest.fixture(scope="session")
@@ -81,7 +81,7 @@ def test_c01_theory_constants(table_without, table_with):
 def test_c02_normalisations():
     t0 = time.perf_counter()
     pi_sum = sum(theory.pi_k(k) for k in range(13))
-    corank_sum = sum(theory.corank_distribution(12, "without"))
+    corank_sum = sum(theory.build_table("without").corank)
     ph = theory.phi("without")
     joint_sum = sum(theory.p_joint(s, l, ph) for s in range(13) for l in range(13))
     worst_pstar = 0.0

@@ -5,7 +5,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from fflab import analyzer
 from fflab.analyzer import (
+    WINDOW_A,
     GuardExceeded,
     analyze_matrix,
     build_U,
@@ -20,7 +22,7 @@ from fflab.analyzer import (
     is_simple_sequence,
     window_halfwidth,
 )
-from fflab.gf2 import BitMatrix, gf2_rank_nullspace, indices_to_bits
+from fflab.gf2 import BitMatrix, indices_to_bits
 from fflab.models import ModelConfig, sample_gf2
 from oracles import rank_mod2_dense
 
@@ -49,34 +51,37 @@ class TestEnumerate:
             assert w == c.bit_count()
 
     def test_guard_refuses(self):
+        assert analyzer.GUARD == 20
         vecs = tuple(1 << i for i in range(21))
-        with pytest.raises(GuardExceeded):
-            enumerate_codewords(vecs, guard=20)
-        # a raised guard admits the same basis
-        assert len(enumerate_codewords(vecs, guard=21)) == 2**21 - 1
+        with pytest.raises(GuardExceeded, match="dimension 21 exceeds guard 20") as e:
+            enumerate_codewords(vecs)
+        assert e.value.dimension == 21
+        # the guard itself is admitted
+        assert len(enumerate_codewords(vecs[:20])) == 2**20 - 1
 
 
 class TestClassify:
     def test_no_anomalies_for_small_and_half_weights(self):
-        n, omega, a = 500, 39, 4.0
+        n = 500
         # three codewords with weights 2, 250 and 252
         a1 = indices_to_bits(range(2))
         a2 = indices_to_bits(range(10, 260))
         a3 = a1 | a2
-        rep = classify([(a1, 2), (a2, 250), (a3, 252)], n, omega, a)
+        rep = classify([(a1, 2), (a2, 250), (a3, 252)], n)
+        assert (rep.omega, rep.window_a) == (39, 4.0)
         assert rep.anomalies == []
         assert rep.sigma == 1 and rep.lam == 1
 
     def test_quarter_weight_is_anomalous(self):
         n = 500
         c = indices_to_bits(range(125))
-        rep = classify([(c, 125)], n, 39, 4.0)
+        rep = classify([(c, 125)], n)
         assert rep.anomalies == [125]
         assert rep.sigma + rep.lam == rep.d == 1
 
     def test_incomplete_list_rejected(self):
         with pytest.raises(ValueError):
-            classify([(1, 1), (2, 1)], 10, 4, 4.0)
+            classify([(1, 1), (2, 1)], 10)
 
     def test_sigma_plus_lambda_is_d(self):
         rng = np.random.default_rng(3)
@@ -84,7 +89,7 @@ class TestClassify:
         for _ in range(20):
             vecs = [int.from_bytes(rng.bytes(n // 8), "little") | 1 for _ in range(4)]
             cws = enumerate_codewords(tuple(vecs))
-            rep = classify(cws, n, default_omega(n), 4.0)
+            rep = classify(cws, n)
             assert rep.sigma + rep.lam == rep.d
 
 
@@ -252,14 +257,13 @@ class TestAnalyzeMatrix:
                 assert rep.large_basis_deficit == 0
                 assert len(rep.large_basis) == rep.lam
 
-    @given(st.integers(0, 2**31 - 1), st.integers(0, 4), st.integers(0, 12),
-           st.integers(0, 4), st.sampled_from([0.5, 1.0, 4.0]))
-    def test_greedy_large_basis_matches_rank_oracle(self, seed, n_small, n_code,
-                                                   omega, window_a):
+    @given(st.integers(0, 2**31 - 1), st.integers(0, 4), st.integers(0, 12))
+    def test_greedy_large_basis_matches_rank_oracle(self, seed, n_small, n_code):
         # a large codeword is picked iff it raises the rank of the smalls
         # plus the earlier picks; half the codewords are planted as XORs of
         # smalls and earlier codewords
         n = 16
+        omega = default_omega(n)
         rng = np.random.default_rng(seed)
         smalls = [int(rng.integers(1, 1 << n)) for _ in range(n_small)]
         pool = list(smalls)
@@ -283,10 +287,10 @@ class TestAnalyzeMatrix:
 
         expect = []
         for c, w in codewords:
-            if (w > omega and in_large_window(w, n, window_a)
+            if (w > omega and in_large_window(w, n, WINDOW_A)
                     and rank(smalls + expect + [c]) > rank(smalls + expect)):
                 expect.append(c)
-        assert greedy_large_basis(codewords, smalls, n, omega, window_a) == expect
+        assert greedy_large_basis(codewords, smalls, n) == expect
 
     def test_default_omega(self):
         assert default_omega(500) == math.ceil(math.log(500) ** 2)

@@ -4,12 +4,13 @@ import os
 import shlex
 import subprocess
 import sys
+import time
 
 import numpy as np
 import pytest
 
 import fflab
-from fflab import cli
+from fflab import analyzer, cli
 from fflab.analyzer import analyze_matrix
 from fflab.cli import main
 from fflab.gf2 import BitMatrix
@@ -156,9 +157,29 @@ class TestAnalyzeCommand:
                                            f"wrote {out}\n")
         assert out.read_text() == '{\n "p": 3,\n "rank": 18,\n "corank": 2\n}'
 
-    def test_guard_below_corank_exits_2(self, capsys):
-        assert run_cli("analyze", "--n", "60", "--trial", "0", "--guard", "0") == 2
+    def test_guard_below_corank_exits_2(self, monkeypatch, capsys):
+        monkeypatch.setattr(analyzer, "GUARD", 0)
+        assert run_cli("analyze", "--n", "60", "--trial", "0") == 2
         assert "exceeds guard 0" in capsys.readouterr().err
+
+    def test_tall_fixture_refused_before_elimination(self, tmp_path, capsys):
+        # one entry in 64000 rows: the co-rank is at least 63999
+        path = tmp_path / "tall.mat"
+        path.write_text("gf2 64000 1\n0:1\n")
+        t0 = time.perf_counter()
+        assert run_cli("analyze", "--matrix", str(path)) == 2
+        assert time.perf_counter() - t0 < 1.0
+        assert capsys.readouterr().err == (
+            "error: null-space dimension at least 63999 exceeds guard 20\n")
+
+    def test_fixture_above_guard_refused_after_elimination(self, tmp_path, capsys):
+        # 25 rows, 5 equal columns set in rows 0 and 1: rank 1, co-rank 24,
+        # which the 25 - 5 = 20 bound before elimination does not see
+        path = tmp_path / "wide.mat"
+        path.write_text("gf2 25 5\n" + "0:1 1:1\n" * 5)
+        assert run_cli("analyze", "--matrix", str(path)) == 2
+        assert capsys.readouterr().err == (
+            "error: null-space dimension 24 exceeds guard 20\n")
 
     def test_requires_input(self, capsys):
         assert run_cli("analyze") == 2
@@ -210,8 +231,9 @@ class TestUsageErrors:
         (("sweep", "--trials", "0"), "--trials"),
         (("audit", "--trials", "1.5"), "--trials"),
         (("sweep", "--n-list", "250,,500"), "--n-list"),
-        (("analyze", "--trial", "0", "--guard", "-1"), "--guard"),
-        (("simulate", "--guard", "-1", "--check"), "--guard"),
+        (("analyze", "--matrix", "fx.mat", "--trial", "3", "--n", "60", "--p", "3",
+          "--gft-model", "1"), "--matrix"),
+        (("analyze", "--trial", "3", "--matrix", "fx.mat"), "--trial"),
         (("simulate", "--workers", "0"), "--workers"),
         (("audit", "--workers", "-2"), "--workers"),
         (("sweep", "--workers", "0"), "--workers"),
@@ -231,10 +253,11 @@ class TestUsageErrors:
     @pytest.mark.parametrize("command, flag", [
         ("simulate", "--omega"), ("simulate", "--window-a"), ("simulate", "--dmax"),
         ("analyze", "--omega"), ("analyze", "--window-a"), ("theory", "--dmax"),
-        ("sweep", "--dmax"), ("theory", "--format"), ("simulate", "--format")])
+        ("sweep", "--dmax"), ("theory", "--format"), ("simulate", "--format"),
+        ("simulate", "--guard"), ("analyze", "--guard")])
     def test_removed_flag_is_refused(self, command, flag, capsys):
-        # omega, a and the theory grid are fixed, and JSON is the one output
-        # format; no flag sets them
+        # omega, a, the enumeration guard and the theory grid are fixed,
+        # and JSON is the one output format; no flag sets them
         sizes = {"simulate": ("--n", "20", "--trials", "1"),
                  "analyze": ("--n", "20", "--trial", "0"),
                  "theory": (), "sweep": ("--n-list", "20", "--trials", "1")}

@@ -1,16 +1,15 @@
 import hashlib
 import json
 import math
+import os
 
 import numpy as np
 import pytest
 
 from fflab import analyzer, harness, theory
 from fflab.harness import (
-    AuditResult,
-    CampaignSummary,
-    FitReport,
     TrialRecord,
+    _pool_map,
     _tv,
     chi2_sf,
     compare_to_theory,
@@ -25,6 +24,10 @@ from fflab.harness import (
 from fflab.gf2 import gf2_rank_nullspace
 from fflab.models import ModelConfig, sample, sample_gf2
 from oracles import chi2_sf_closed_form
+
+
+def _pid(_item) -> int:
+    return os.getpid()
 
 
 def small_campaign(**kw):
@@ -45,6 +48,11 @@ class TestDeterminism:
         rec1, _ = run_campaign(cfg, trials=24, workers=1)
         rec2, _ = run_campaign(cfg, trials=24, workers=4)
         assert [r.to_json_line() for r in rec1] == [r.to_json_line() for r in rec2]
+
+    def test_pool_forks_no_more_workers_than_items(self):
+        # one item runs in this process however many workers are asked for
+        assert _pool_map(_pid, [0], 4) == [os.getpid()]
+        assert _pool_map(abs, [-1, -2], 4) == [1, 2]
 
     def test_jsonl_roundtrip(self, tmp_path):
         cfg = ModelConfig(n=50, master_seed=2)
@@ -84,22 +92,26 @@ class TestDeterminism:
 
 
 class TestGuardHit:
-    def test_guard_hit_record(self):
+    def test_guard_hit_record(self, monkeypatch):
         cfg = ModelConfig(n=150, master_seed=20260809)
-        trial = next(t for t in range(100) if run_trial(cfg, t).corank >= 1)
-        rec = run_trial(cfg, trial, guard=0)
+        records = (run_trial(cfg, t) for t in range(100))
+        unguarded = next(r for r in records if r.corank >= 1)
+        trial = unguarded.trial
+        monkeypatch.setattr(analyzer, "GUARD", 0)
+        rec = run_trial(cfg, trial)
         assert rec.guard_exceeded
         assert rec.sigma is None and rec.lam is None and rec.weights is None
         assert rec.corank == rec.n - rec.rank >= 1
         assert rec.rank == gf2_rank_nullspace(sample(cfg, trial))[0]
-        summary = summarize([rec, run_trial(cfg, trial)], cfg.master_seed)
+        summary = summarize([rec, unguarded], cfg.master_seed)
         assert summary.guard_hits == 1
         assert summary.corank_hist == {rec.corank: 2}
 
     def test_guard_hit_eliminates_once(self, monkeypatch):
         cfg = ModelConfig(n=150, master_seed=20260809)
         trial = next(t for t in range(100) if run_trial(cfg, t).corank >= 1)
-        expect = run_trial(cfg, trial, guard=0)
+        monkeypatch.setattr(analyzer, "GUARD", 0)
+        expect = run_trial(cfg, trial)
         calls = []
 
         def counted(m):
@@ -108,7 +120,7 @@ class TestGuardHit:
 
         monkeypatch.setattr(analyzer, "gf2_rank_nullspace", counted)
         monkeypatch.setattr(harness, "gf2_rank_nullspace", counted)
-        rec = run_trial(cfg, trial, guard=0)
+        rec = run_trial(cfg, trial)
         assert len(calls) == 1
         assert rec.to_json_line() == expect.to_json_line()
         assert rec.guard_exceeded and rec.sigma is None
@@ -146,8 +158,8 @@ class TestTV:
         assert _tv(counts, probs, 100) == 0.0
 
     def test_point_mass_at_zero(self):
-        table = theory.build_table("without", d_max=10)
-        probs = {d: table.corank[d] for d in range(11)}
+        table = theory.build_table("without")
+        probs = dict(enumerate(table.corank))
         counts = {0: 1000}
         tv = _tv(counts, probs, 1000)
         assert tv == pytest.approx(1 - table.corank[0], abs=1e-9)
@@ -156,13 +168,13 @@ class TestTV:
 class TestCompare:
     def test_model_tag_mismatch(self):
         _, summary = small_campaign(trials=10)
-        table = theory.build_table("with", d_max=6)
+        table = theory.build_table("with")
         with pytest.raises(ValueError):
             compare_to_theory(summary, table)
 
     def test_fit_report_fields(self):
         _, summary = small_campaign(trials=200, n=100)
-        table = theory.build_table("without", d_max=8)
+        table = theory.build_table("without")
         fit = compare_to_theory(summary, table)
         assert 0 <= fit.tv_corank <= 1
         assert 0 <= fit.tv_joint <= 1
@@ -187,7 +199,7 @@ class TestCompare:
 
     def test_headline_checks_shape(self):
         _, summary = small_campaign(trials=500, n=200, seed=3)
-        table = theory.build_table("without", d_max=8)
+        table = theory.build_table("without")
         fit = compare_to_theory(summary, table)
         checks = headline_checks(summary, fit, table)
         assert set(checks) == {"corank0_within_3se", "tv_corank", "tv_joint",

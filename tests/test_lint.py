@@ -1,5 +1,5 @@
-"""Every module-level import in the package and the scripts is read, and
-so is every module-level private name the package defines.
+"""Every module-level import in the package, the scripts and the tests is
+read, and so is every module-level private name the package defines.
 
 __init__.py is skipped by the import check, since its imports are the
 package's re-exports, and so are ``from __future__`` imports.
@@ -29,7 +29,8 @@ def unused_imports(path: pathlib.Path) -> list[str]:
 
 
 def test_no_unused_imports():
-    paths = sorted([*ROOT.glob("src/fflab/*.py"), *ROOT.glob("scripts/*.py")])
+    paths = sorted([*ROOT.glob("src/fflab/*.py"), *ROOT.glob("scripts/*.py"),
+                    *ROOT.glob("tests/*.py")])
     assert paths
     found = [line for path in paths if path.name != "__init__.py"
              for line in unused_imports(path)]

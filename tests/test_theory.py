@@ -186,7 +186,7 @@ class TestJointAndCorank:
         assert theory.p_joint(0, 0, ph_w) == pytest.approx(P00_WITH, abs=1e-10)
 
     def test_corank_distribution(self):
-        dist = theory.corank_distribution(12, "without")
+        dist = theory.build_table("without").corank
         assert dist[0] == pytest.approx(0.2574, abs=5e-4)
         assert all(v >= 0 for v in dist)
         assert sum(dist) == pytest.approx(1, abs=1e-9)
@@ -286,14 +286,15 @@ class TestGft:
 
 class TestTable:
     def test_build_and_invariants(self):
-        table = theory.build_table("without", d_max=8)
+        table = theory.build_table("without")
         assert table.full_rank_probability == pytest.approx(P00_WITHOUT, abs=1e-9)
         assert all(0 <= v <= 1 for v in table.pi)
         assert all(0 <= v <= 1 for v in table.corank)
         assert all(0 <= v <= 1 for v in table.joint.values())
         d = table.to_json_dict()
         assert d["model"] == "without"
-        assert len(d["corank"]) == 9
+        assert len(d["corank"]) == 13
+        assert len(d["joint"]) == 13 * 13
 
     @pytest.mark.parametrize("model", ["with", "without"])
     def test_default_tables_exact(self, model):
@@ -301,9 +302,9 @@ class TestTable:
         assert hashlib.sha256(text.encode()).hexdigest() == TABLE_SHA256[model]
 
     @pytest.mark.parametrize("call", [lambda: theory.build_table(tol=0),
-                                      lambda: theory.corank_distribution(3, tol=-1),
+                                      lambda: theory.build_table("with", tol=-1),
                                       lambda: theory.build_table(tol=math.nan),
-                                      lambda: theory.corank_distribution(3, tol=math.inf),
+                                      lambda: theory.build_table("with", tol=math.inf),
                                       lambda: theory.build_table(tol=1),
                                       lambda: theory.phi("with", math.nan),
                                       lambda: theory.phi("without", 1e300),
@@ -316,7 +317,6 @@ class TestTable:
         assert time.perf_counter() - t0 < 1.0
 
     @pytest.mark.parametrize("size, call", [
-        pytest.param("d_max", lambda: theory.build_table(d_max=-1), id="d_max"),
         pytest.param("k_max", lambda: theory.verify_q_system(-1), id="q_system-k_max"),
         pytest.param("d_max", lambda: theory.gft_corank_distribution(0.5, 0.5, -1),
                      id="gft-d_max")])

@@ -5,7 +5,7 @@ computes rank and left-null-space structure by sparse column elimination,
 and reconciles empirical co-rank/dependency statistics against exact
 limiting laws via seeded Monte Carlo.
 """
-from .gf2 import BitMatrix, gf2_rank_nullspace
+from .gf2 import BitMatrix, gf2_rank, gf2_rank_nullspace
 from .gfp import PrimeFieldMatrix, gfp_rank, gfp_rank_nullspace
 from .models import (
     ModelConfig,
@@ -36,6 +36,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BitMatrix",
+    "gf2_rank",
     "gf2_rank_nullspace",
     "PrimeFieldMatrix",
     "gfp_rank",

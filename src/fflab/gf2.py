@@ -19,6 +19,10 @@ the free rows; each gives one null vector by back-substitution over the
 pivots above it.  A final Gauss-Jordan pass keyed by the top row index
 makes the basis canonical, so it does not depend on the engine or on
 the row order used inside it.
+
+The row order and the 2-core peel (:func:`_degree_labels`,
+:func:`_peel`) read the entry list alone, so they are stated here once;
+the GF(p) engine peels before it eliminates, and this one does not.
 """
 from __future__ import annotations
 
@@ -143,11 +147,57 @@ class BitMatrix:
 def _degree_labels(rows: np.ndarray, n_rows: int) -> np.ndarray:
     """label[i] for every row i of an entry list's row indices: the rows
     ordered by degree, descending (stable), so the lowest-degree rows
-    take the highest labels.  Both engines eliminate over these labels."""
+    take the highest labels.  Both engines eliminate over these labels,
+    GF(p) over the entries of its 2-core (:func:`_peel`)."""
     order = np.argsort(-np.bincount(rows, minlength=n_rows), kind="stable")
     label = np.empty(n_rows, dtype=np.intp)
     label[order] = np.arange(n_rows)
     return label
+
+
+def _peel(rows: np.ndarray, cols: np.ndarray, n_rows: int) -> np.ndarray:
+    """The 2-core peel of a column-major entry list: the indices of its
+    leaf entries, in peel order.
+
+    A row with exactly one live entry is a leaf.  Over any field, the
+    column holding it is independent of the other live columns, so
+    removing it raises the rank by 1, and a left null vector's
+    coefficient at the leaf follows from its coefficients at the
+    column's other rows.  Each round removes every column that holds a
+    leaf, through its first leaf in the queue; the column's other leaves
+    are left with no live entry, and its other rows may become leaves of
+    the next round.  The rounds repeat until no row is a leaf, and the
+    live columns that remain are the 2-core.  The other rows of a
+    removed column are live when it goes, so back-substitution in
+    reverse peel order finds them set.
+
+    The rounds run as one queue of leaf rows, and a leaf's column is the
+    XOR of its row's live column indices, so the peel is linear in the
+    entries.
+    """
+    deg = np.bincount(rows, minlength=n_rows)
+    col_xor = np.zeros(n_rows, dtype=np.int64)
+    np.bitwise_xor.at(col_xor, rows, cols)
+    queue = np.flatnonzero(deg == 1).tolist()
+    if not queue:
+        return np.zeros(0, dtype=np.intp)
+    start = np.zeros(cols[-1] + 2, dtype=np.intp)
+    np.cumsum(np.bincount(cols), out=start[1:])
+    deg, col_xor, start, rows = deg.tolist(), col_xor.tolist(), start.tolist(), rows.tolist()
+    out = []
+    for leaf in queue:  # the queue grows as the loop runs
+        if deg[leaf] != 1:  # another leaf removed its column
+            continue
+        c = col_xor[leaf]
+        for k in range(start[c], start[c + 1]):
+            r = rows[k]
+            d = deg[r] = deg[r] - 1
+            col_xor[r] ^= c
+            if d == 1:
+                queue.append(r)
+            elif r == leaf:
+                out.append(k)
+    return np.array(out, dtype=np.intp)
 
 
 def _reduce(rows: Iterable[int]) -> Iterator[int]:
@@ -169,6 +219,25 @@ def _reduce(rows: Iterable[int]) -> Iterator[int]:
         yield v
 
 
+def _column_pivots(m: BitMatrix, label: np.ndarray) -> dict[int, int]:
+    """Eliminate the columns of m with row i on bit label[i].  Returns
+    the nonzero reduced columns, keyed by leading bit."""
+    nr = m.n_rows
+    rows, cols = m.nonzero()
+    pivots: dict[int, int] = {}
+    for v in _reduce(_xor_pack(m.n_cols, cols, label[rows])):
+        if v:
+            pivots[v.bit_length() - 1] = v
+            if len(pivots) == nr:  # full rank: the other columns are in the span
+                break
+    return pivots
+
+
+def gf2_rank(m: BitMatrix) -> int:
+    """Row rank over GF(2): the number of pivot columns."""
+    return len(_column_pivots(m, _degree_labels(m.nonzero()[0], m.n_rows)))
+
+
 def gf2_rank_nullspace(m: BitMatrix) -> tuple[int, tuple[int, ...]]:
     """Rank and left-null-space basis of a BitMatrix.  Each basis vector
     is a Python int whose bit i selects row i.
@@ -176,11 +245,11 @@ def gf2_rank_nullspace(m: BitMatrix) -> tuple[int, tuple[int, ...]]:
     Column form: the rows are relabelled by degree, descending (stable),
     so the lowest-degree rows hold the highest labels; each column is
     one Python int over those labels, built from the entries, and
-    ``_reduce`` eliminates the columns.  Rank is the
-    number of nonzero reduced columns.  A label j that leads no pivot is
-    free; its null vector x has bit j, no other free bit, and, for each
-    pivot lead p > j in ascending order, bit p equal to the parity of
-    x & pivot_p.  The vectors are mapped back to the original rows and
+    ``_column_pivots`` eliminates the columns, as for :func:`gf2_rank`.
+    Rank is the number of nonzero reduced columns.  A label j that leads
+    no pivot is free; its null vector x has bit j, no other free bit,
+    and, for each pivot lead p > j in ascending order, bit p equal to
+    the parity of x & pivot_p.  The vectors are mapped back to the original rows and
     put in reduced echelon form keyed by the top row index.
 
     That form does not depend on the engine: with D the set of rows i
@@ -193,14 +262,8 @@ def gf2_rank_nullspace(m: BitMatrix) -> tuple[int, tuple[int, ...]]:
     dependencies of m.
     """
     nr = m.n_rows
-    rows, cols = m.nonzero()
-    label = _degree_labels(rows, nr)
-    pivots: dict[int, int] = {}
-    for v in _reduce(_xor_pack(m.n_cols, cols, label[rows])):
-        if v:
-            pivots[v.bit_length() - 1] = v
-            if len(pivots) == nr:  # full rank: the other columns are in the span
-                break
+    label = _degree_labels(m.nonzero()[0], nr)
+    pivots = _column_pivots(m, label)
     leads = sorted(pivots)
     vectors = []
     for j in set(range(nr)).difference(pivots):

@@ -6,16 +6,21 @@ as its nonzero entries alone, each an int64 residue in [1, p).  Prime
 moduli only; extension fields are out of scope.
 
 Elimination runs as in :func:`fflab.gf2.gf2_rank_nullspace`: on the
-columns, which are sparse, with no transform carried.  Rows are
-relabelled by degree, descending, so the lowest-degree rows lead the
-pivots; each column is one Python int over those labels, built straight
-from the matrix entries, and a dictionary maps each leading position to
-a monic pivot column.  A label is a *lane* of w bits instead of a single
-bit, and the XOR of GF(2) becomes a lane-wise multiply-add followed by a
-lane-wise reduction mod p (see :class:`_Lanes`).  The null space comes
-from back-substitution over the pivots, then a Gauss-Jordan pass keyed
-by the top row index makes it canonical.  Python ints never overflow, so
-the engine is exact for every prime.
+columns, which are sparse, with no transform carried, after one pass
+over the entry list.  That pass peels the 2-core (:func:`fflab.gf2._peel`,
+the first phase of structured Gaussian elimination): while some row has
+exactly one live entry, the column holding it is removed and the rank
+goes up by 1.  The core's rows are relabelled by degree, descending, so
+the lowest-degree rows lead the pivots, and the core's columns are fed
+in ascending order of their lowest label.  Each column is one Python int
+over those labels, built straight from the matrix entries, and a
+dictionary maps each leading position to a monic pivot column.  A label
+is a *lane* of w bits instead of a single bit, and the XOR of GF(2)
+becomes a lane-wise multiply-add followed by a lane-wise reduction mod p
+(see :class:`_Lanes`).  The null space comes from back-substitution over
+the pivots and then over the peeled columns, last peeled first; a
+Gauss-Jordan pass keyed by the top row index makes it canonical.  Python
+ints never overflow, so the engine is exact for every prime.
 """
 from __future__ import annotations
 
@@ -25,7 +30,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .gf2 import _degree_labels, _entry_keys
+from .gf2 import _degree_labels, _entry_keys, _peel
 
 # Deterministic Miller-Rabin: the smallest composite that is a strong
 # pseudoprime to every prime base up to 37 is this bound, 3.2e23
@@ -181,9 +186,8 @@ class _Lanes:
         """n_vectors ints with vals[k] in lane lane[k] of int index[k];
         each position at most once, every value below 2^w."""
         out = [0] * n_vectors
-        w = self.w
-        for i, c, v in zip(index.tolist(), lane.tolist(), vals.tolist()):
-            out[i] |= v << (c * w)
+        for i, shift, v in zip(index.tolist(), (lane * self.w).tolist(), vals.tolist()):
+            out[i] |= v << shift
         return out
 
     def unpack(self, v: int) -> np.ndarray:
@@ -218,30 +222,62 @@ def _eliminate(vectors: Iterable[int], lanes: _Lanes) -> dict[int, int]:
     return pivots
 
 
-def _column_pivots(m: PrimeFieldMatrix, label: np.ndarray) -> tuple[dict[int, int], _Lanes]:
-    """Eliminate the columns of m with row i on lane label[i].  Returns
-    the pivots and the lane layout."""
+def _column_pivots(m: PrimeFieldMatrix) -> tuple[dict[int, int], _Lanes, np.ndarray, np.ndarray]:
+    """Peel m to its 2-core (:func:`fflab.gf2._peel`), label the rows by
+    their degree in the core (:func:`fflab.gf2._degree_labels`), and
+    eliminate the core's columns with row i on lane label[i], fed in
+    ascending order of their lowest label (a stable sort).  Each peeled
+    column adds 1 to the rank, so the rank is the number of pivots plus
+    the number of leaves.  Returns the pivots, the lane layout, the
+    labels and the peel's leaf entries, in peel order.
+
+    The peel drops the columns that a leaf row alone pivots, and the
+    core's rows take the lowest labels, so the lane ints are shorter;
+    feeding the columns that reach the lowest labels first builds the
+    pivots from the bottom up.  Both cut the elimination steps.
+    """
     rows, cols, vals = m.nonzero()
+    leaves = _peel(rows, cols, m.n_rows)
+    live = np.ones(m.n_cols, dtype=bool)
+    live[cols[leaves]] = False
+    core = live[cols]
+    rows, cols, vals = rows[core], cols[core], vals[core]
+    label = _degree_labels(rows, m.n_rows)
+    lab = label[rows]
+    new = np.diff(cols, prepend=-1) != 0  # the first entry of each core column
+    order = np.argsort(np.minimum.reduceat(lab, np.flatnonzero(new)), kind="stable")
+    position = np.empty_like(order)
+    position[order] = np.arange(order.size)
     lanes = _Lanes(m.p, m.n_rows)
-    return _eliminate(lanes.pack(m.n_cols, cols, label[rows], vals), lanes), lanes
+    vectors = lanes.pack(order.size, position[np.cumsum(new) - 1], lab, vals)
+    return _eliminate(vectors, lanes), lanes, label, leaves
 
 
 def gfp_rank(m: PrimeFieldMatrix) -> int:
-    """Row rank over GF(p): the number of pivot columns."""
-    return len(_column_pivots(m, _degree_labels(m.nonzero()[0], m.n_rows))[0])
+    """Row rank over GF(p): the number of peeled columns and of core
+    pivots."""
+    pivots, _, _, leaves = _column_pivots(m)
+    return len(pivots) + leaves.size
 
 
 def gfp_rank_nullspace(m: PrimeFieldMatrix) -> tuple[int, list[np.ndarray]]:
     """Rank and left-null-space basis over GF(p).
 
-    Column form, as :func:`gfp_rank`: the pivots are monic at their lead
-    lane q and zero above it.  A label j that leads no pivot is free; its
-    null vector x has x_j = 1, 0 at every other free label and below j,
-    and, for each pivot lead q > j in ascending order,
-    x_q = -sum_{l<q} x_l * pivot_q[l], which makes x orthogonal to every
-    pivot and so to every column.  The vectors are mapped back to the
-    original rows and put in reduced echelon form keyed by the top row
-    index, monic at the top.
+    Column form, as :func:`gfp_rank`: the peel takes each leaf row to a
+    peeled column, and the core's pivots are monic at their lead lane q
+    and zero above it.  A label j that is no leaf and leads no pivot is
+    free: a core row, or a row the peel left with no live entry.  Its
+    null vector x has x_j = 1, 0 at every other free label and at every
+    pivot lead below j, and, for each pivot lead q > j in ascending
+    order, x_q = -sum_{l<q} x_l * pivot_q[l], which makes x orthogonal
+    to every pivot and so to every core column.  Then, for each peeled
+    column in reverse peel order, the leaf's coefficient is minus the
+    column's other terms divided by the leaf's value, which makes x
+    orthogonal to that column; the column's other rows are all set by
+    then.  Both sums run over the smaller of x's support and the pivot
+    or column.  The vectors are mapped back to the original rows and put
+    in reduced echelon form keyed by the top row index, monic at the
+    top.
 
     That form does not depend on the engine: with D the set of rows i
     that lie in the span of the rows below i, the basis vector for i in
@@ -252,11 +288,13 @@ def gfp_rank_nullspace(m: PrimeFieldMatrix) -> tuple[int, list[np.ndarray]]:
     rank + len(basis) == n_rows.
     """
     nr, p = m.n_rows, m.p
-    label = _degree_labels(m.nonzero()[0], nr)
-    pivots, lanes = _column_pivots(m, label)
-    free = sorted(set(range(nr)).difference(pivots))
+    rows, cols, vals = m.nonzero()
+    pivots, lanes, label, leaves = _column_pivots(m)
+    leaf_label = label[rows[leaves]].tolist()
+    rank = len(pivots) + len(leaf_label)
+    free = sorted(set(range(nr)).difference(pivots, leaf_label))
     if not free:
-        return len(pivots), []
+        return rank, []
     # the lanes below the lead of each pivot above the lowest free label,
     # read from one buffer (no larger than the pivots) as (lane, value)
     # runs, one run per pivot
@@ -271,19 +309,38 @@ def gfp_rank_nullspace(m: PrimeFieldMatrix) -> tuple[int, list[np.ndarray]]:
     ls = (nz - np.repeat(starts[:-1], np.diff(cut))).tolist()
     cs = low[nz].tolist()
     runs = [dict(zip(ls[a:b], cs[a:b])) for a, b in zip(cut, cut[1:])]
+    # each peeled column, last peeled first: its leaf's label, minus the
+    # inverse of the leaf's value, and its other entries as a run
+    labs, values = label[rows].tolist(), vals.tolist()
+    lo = np.searchsorted(cols, cols[leaves]).tolist()
+    hi = np.searchsorted(cols, cols[leaves], "right").tolist()
+    peeled = []
+    for k, a, b in reversed(list(zip(leaves.tolist(), lo, hi))):
+        run = dict(zip(labs[a:b], values[a:b]))
+        del run[labs[k]]
+        peeled.append((labs[k], p - pow(values[k], -1, p), run))
     row_of = np.argsort(label).tolist()  # the inverse permutation of label
     vectors = []
     for j in free:
         x = {j: 1}  # the nonzero coefficients, by label
         start = bisect_right(above, j)
         for q, run in zip(above[start:], runs[start:]):
-            # x holds labels below q alone; sum over the smaller of x and the run
-            small, big = (x, run) if len(x) < len(run) else (run, x)
-            xq = -sum(c * big.get(l, 0) for l, c in small.items()) % p
+            xq = -_dot(x, run) % p  # x holds labels below q alone
             if xq:
                 x[q] = xq
+        for leaf, minus_inverse, run in peeled:
+            xl = _dot(x, run) * minus_inverse % p
+            if xl:
+                x[leaf] = xl
         vectors.append(sum(v << (row_of[l] * w) for l, v in x.items()))  # on the original rows
-    return len(pivots), [lanes.unpack(v) for v in _canonical(vectors, lanes)]
+    return rank, [lanes.unpack(v) for v in _canonical(vectors, lanes)]
+
+
+def _dot(x: dict[int, int], run: dict[int, int]) -> int:
+    """The sum of x[l] * run[l] over their common labels, read over the
+    smaller of the two."""
+    small, big = (x, run) if len(x) < len(run) else (run, x)
+    return sum(c * big.get(l, 0) for l, c in small.items())
 
 
 def _canonical(vectors: list[int], lanes: _Lanes) -> list[int]:

@@ -23,7 +23,7 @@ from typing import Callable, Iterable, NamedTuple, Sequence
 import mpmath
 
 from .analyzer import GuardExceeded, analyze_matrix
-from .gf2 import BitMatrix, gf2_rank_nullspace
+from .gf2 import BitMatrix, gf2_rank
 from .gfp import PrimeFieldMatrix, gfp_rank
 from .models import ModelConfig, functional_graph_components, sample
 from .theory import TheoryTable
@@ -327,10 +327,7 @@ def _audit_trial(family: str, cfg: ModelConfig, trial: int) -> tuple[int, int]:
     """Returns (violation, hit) for one trial of an audit family."""
     audit = _AUDITS[family]
     m = sample(cfg, trial)
-    if isinstance(m, PrimeFieldMatrix):
-        corank = m.n_rows - gfp_rank(m)
-    else:
-        corank = len(gf2_rank_nullspace(m)[1])
+    corank = m.n_rows - (gfp_rank(m) if isinstance(m, PrimeFieldMatrix) else gf2_rank(m))
     return (int(audit.violation(m, corank)),
             0 if audit.hit is None else int(audit.hit(corank)))
 

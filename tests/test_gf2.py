@@ -9,7 +9,9 @@ from hypothesis import strategies as st
 from fflab.gf2 import (
     BitMatrix,
     _pair_components,
+    _peel,
     bit_indices,
+    gf2_rank,
     gf2_rank_nullspace,
     indices_to_bits,
 )
@@ -32,8 +34,9 @@ def test_duplicate_row_corank_one():
     n = 8
     dense = np.eye(n, dtype=np.uint8)
     dense[n - 1] = dense[0]
-    rank, basis = gf2_rank_nullspace(BitMatrix.from_dense(dense))
-    assert rank == n - 1
+    m = BitMatrix.from_dense(dense)
+    rank, basis = gf2_rank_nullspace(m)
+    assert rank == gf2_rank(m) == n - 1
     assert len(basis) == 1
     assert basis[0] == (1 << 0) | (1 << (n - 1))
 
@@ -44,7 +47,7 @@ def test_rank_matches_naive_reference_on_random_dense():
         dense = random_dense(rng, 64, 64)
         m = BitMatrix.from_dense(dense)
         rank, basis = gf2_rank_nullspace(m)
-        assert rank == rank_mod2_dense(dense)
+        assert rank == gf2_rank(m) == rank_mod2_dense(dense)
         assert rank + len(basis) == 64
 
 
@@ -118,10 +121,11 @@ def test_dense_roundtrip(seed, n_rows, n_cols):
 
 
 def assert_canonical_basis(m, dense):
-    """gf2_rank_nullspace gives the oracle's basis exactly, order included."""
+    """gf2_rank_nullspace gives the oracle's basis exactly, order
+    included, and gf2_rank the oracle's rank."""
     deps, vectors = left_nullspace_canonical_dense(dense)
     rank, basis = gf2_rank_nullspace(m)
-    assert rank == m.n_rows - len(deps)
+    assert rank == gf2_rank(m) == rank_mod2_dense(dense) == m.n_rows - len(deps)
     assert basis == tuple(vectors)
 
 
@@ -177,6 +181,45 @@ def test_large_null_space_is_fast():
     assert time.perf_counter() - t0 < 2.0
     assert rank == 1
     assert basis == tuple(1 << i for i in range(1, 8000))
+
+
+def core_columns(n_rows, rows, cols):
+    """The 2-core's columns, by rounds that each drop every column that
+    holds a row of live degree 1, over the whole entry list."""
+    live = set(cols.tolist())
+    while True:
+        deg = np.bincount([r for r, c in zip(rows, cols) if c in live], minlength=n_rows)
+        drop = {c for r, c in zip(rows, cols) if c in live and deg[r] == 1}
+        if not drop:
+            return live
+        live -= drop
+
+
+@given(st.integers(0, 2**31 - 1), st.integers(1, 30), st.integers(1, 30), st.integers(0, 90))
+def test_peel_removes_the_columns_outside_the_core_in_a_valid_order(seed, n_rows, n_cols,
+                                                                    n_entries):
+    rng = np.random.default_rng(seed)
+    rows, cols = BitMatrix(n_rows, n_cols, rng.integers(0, n_rows, size=n_entries),
+                           rng.integers(0, n_cols, size=n_entries)).nonzero()
+    leaves = _peel(rows, cols, n_rows).tolist()
+    peeled = cols[leaves].tolist()
+    assert len(set(peeled)) == len(peeled)
+    assert set(cols.tolist()) - set(peeled) == core_columns(n_rows, rows, cols)
+    # replayed in peel order, each leaf is its row's one live entry
+    live = set(cols.tolist())
+    for k in leaves:
+        assert [c for r, c in zip(rows, cols) if r == rows[k] and c in live] == [cols[k]]
+        live.remove(cols[k])
+
+
+def test_peel_is_linear_on_a_path():
+    # column c holds rows c and c + 1: two leaves a round, n / 2 rounds
+    n = 20_000
+    rows = np.stack([np.arange(n - 1), np.arange(1, n)], axis=1).ravel()
+    cols = np.repeat(np.arange(n - 1), 2)
+    t0 = time.perf_counter()
+    assert _peel(rows, cols, n).size == n - 1
+    assert time.perf_counter() - t0 < 1.0
 
 
 def test_nonzero_lists_the_set_bits():

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from fflab.gf2 import _peel
 from fflab.gfp import (
     PrimeFieldMatrix,
     _Lanes,
@@ -285,3 +286,96 @@ def test_gf3_model1_exhaustive_corank_law_n5():
     assert len(coranks) == 7776
     assert min(coranks) >= 1  # the all-ones vector annihilates every column
     assert Fraction(coranks.count(1), len(coranks)) == Fraction(1031, 1296)
+
+
+def nonunit(rng, p, size):
+    """Residues in [2, p), so that dividing by a leaf's value is exercised."""
+    return rng.integers(2, p, size=size)
+
+
+def assert_peel_matches_oracle(dense, p):
+    """gfp_rank and gfp_rank_nullspace against the dense oracle, basis
+    order included; returns the number of columns the peel removes."""
+    deps, vectors = left_nullspace_canonical_modp_dense(dense, p)
+    m = PrimeFieldMatrix.from_dense(dense, p)
+    rank, basis = gfp_rank_nullspace(m)
+    assert rank == gfp_rank(m) == m.n_rows - len(deps)
+    assert [x.tolist() for x in basis] == vectors
+    rows, cols, _ = m.nonzero()
+    return _peel(rows, cols, m.n_rows).size
+
+
+def forest(rng, p, n_cols, n_roots=3):
+    """Column c holds row n_roots + c, which no earlier column holds,
+    and one or two of the rows before it, so the last column always
+    holds a leaf."""
+    dense = np.zeros((n_roots + n_cols, n_cols), dtype=np.int64)
+    for c in range(n_cols):
+        others = rng.choice(n_roots + c, size=min(n_roots + c, int(rng.integers(1, 3))),
+                            replace=False)
+        dense[[n_roots + c, *others], c] = nonunit(rng, p, 1 + len(others))
+    return dense
+
+
+def shuffled(rng, dense):
+    return dense[rng.permutation(dense.shape[0])][:, rng.permutation(dense.shape[1])]
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_peel_of_a_forest_leaves_nothing(p):
+    rng = np.random.default_rng(p)
+    for n_cols in (1, 2, 5, 12):
+        dense = shuffled(rng, forest(rng, p, n_cols))
+        assert assert_peel_matches_oracle(dense, p) == n_cols
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_peel_of_a_column_set_in_every_row(p):
+    # every row is a leaf of the one column: one is peeled, the rest are isolated
+    rng = np.random.default_rng(p)
+    for n in (1, 2, 9):
+        assert assert_peel_matches_oracle(nonunit(rng, p, (n, 1)), p) == 1
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_peel_leaves_isolated_rows(p):
+    # a 3-cycle on rows 0-2 is the core; column 3 holds row 0 and two
+    # leaves, rows 3 and 4, of which one is peeled and one left
+    # isolated; row 5 is empty
+    rng = np.random.default_rng(p)
+    for _ in range(5):
+        dense = np.zeros((6, 4), dtype=np.int64)
+        for c, rows in enumerate(([0, 1], [1, 2], [0, 2], [0, 3, 4])):
+            dense[rows, c] = nonunit(rng, p, len(rows))
+        assert assert_peel_matches_oracle(dense[rng.permutation(6)], p) == 1
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_peel_with_a_zero_column(p):
+    rng = np.random.default_rng(p)
+    dense = shuffled(rng, np.concatenate([forest(rng, p, 6), np.zeros((9, 1), dtype=np.int64)],
+                                         axis=1))
+    assert assert_peel_matches_oracle(dense, p) == 6
+    dense = np.zeros((4, 3), dtype=np.int64)
+    dense[:, 1] = nonunit(rng, p, 4)
+    assert assert_peel_matches_oracle(dense, p) == 1
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_peel_to_a_core_with_two_or_more_dependencies(p):
+    # a 4 x 4 core, every row in at least two columns, whose rows 2 and 3
+    # are combinations of rows 0 and 1, with a forest rooted in it
+    rng = np.random.default_rng(p)
+    tested = 0
+    while tested < 5:
+        top = nonunit(rng, p, (2, 4))
+        core = np.concatenate([top, nonunit(rng, p, (2, 2)) @ top % p])
+        if (np.count_nonzero(core, axis=1) < 2).any():
+            continue
+        dense = np.concatenate([np.zeros((10, 4), dtype=np.int64), forest(rng, p, 6, n_roots=4)],
+                               axis=1)
+        dense[:4, :4] = core
+        dense = shuffled(rng, dense)
+        assert len(left_nullspace_canonical_modp_dense(dense, p)[0]) >= 2
+        assert assert_peel_matches_oracle(dense, p) == 6
+        tested += 1

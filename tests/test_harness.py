@@ -21,7 +21,7 @@ from fflab.harness import (
     summarize,
     write_records_jsonl,
 )
-from fflab.gf2 import gf2_rank_nullspace
+from fflab.gf2 import gf2_rank, gf2_rank_nullspace
 from fflab.models import ModelConfig, sample, sample_gf2
 from oracles import chi2_sf_closed_form
 
@@ -119,7 +119,8 @@ class TestGuardHit:
             return gf2_rank_nullspace(m)
 
         monkeypatch.setattr(analyzer, "gf2_rank_nullspace", counted)
-        monkeypatch.setattr(harness, "gf2_rank_nullspace", counted)
+        # the harness's own GF(2) elimination, used by the audits, counts too
+        monkeypatch.setattr(harness, "gf2_rank", lambda m: calls.append(m) or gf2_rank(m))
         rec = run_trial(cfg, trial)
         assert len(calls) == 1
         assert rec.to_json_line() == expect.to_json_line()

@@ -14,7 +14,12 @@ put at most s ones in each), and carries no transform.  Each column is
 one Python int over relabelled rows: rows are ordered by degree,
 descending, so the lowest-degree rows take the highest bits and lead the
 pivots, which keeps fill-in low (a light form of Markowitz ordering, as
-in structured Gaussian elimination).  The rows that lead no pivot are
+in structured Gaussian elimination).  The column ints are packed
+lazily, PACK_BLOCK columns at a time, each block by one NumPy shift and
+one ``bitwise_or.reduceat`` over an object array of its entries
+(:func:`_pack`), so no per-entry Python loop runs, no table of powers of
+two is built, and the ints of at most one block exist before
+elimination reaches them.  The rows that lead no pivot are
 the free rows; each gives one null vector by back-substitution over the
 pivots above it.  A final Gauss-Jordan pass keyed by the top row index
 makes the basis canonical, so it does not depend on the engine or on
@@ -56,12 +61,28 @@ def indices_to_bits(indices: Iterable[int]) -> int:
     return v
 
 
-def _xor_pack(n: int, index: np.ndarray, bits: np.ndarray) -> list[int]:
-    """n Python ints, with bit bits[k] of int index[k] flipped for every k."""
-    out = [0] * n
-    for i, b in zip(index.tolist(), bits.tolist()):
-        out[i] ^= 1 << b
-    return out
+PACK_BLOCK = 4096  # columns packed per NumPy call
+
+
+def _run_bounds(a: np.ndarray) -> np.ndarray:
+    """The index where each run of equal values of a starts, then a.size."""
+    new = np.empty(a.size + 1, dtype=bool)
+    new[0] = new[-1] = True
+    np.not_equal(a[1:], a[:-1], out=new[1:-1])
+    return np.flatnonzero(new)
+
+
+def _pack(cols: np.ndarray, shifts: np.ndarray) -> Iterator[int]:
+    """The nonempty columns of a column-major entry list as Python ints,
+    in column order: column c is the OR of 1 << shifts[k] over its
+    entries k (the XOR, as positions are unique).  One object-dtype
+    shift and one ``bitwise_or.reduceat`` per PACK_BLOCK columns, so
+    the object array never spans the whole matrix."""
+    bounds = _run_bounds(cols)
+    for b in range(0, bounds.size - 1, PACK_BLOCK):
+        starts = bounds[b:b + PACK_BLOCK + 1]
+        bits = np.left_shift(1, shifts[starts[0]:starts[-1]].astype(object))
+        yield from np.bitwise_or.reduceat(bits, starts[:-1] - starts[0]).tolist()
 
 
 def _entry_keys(n_rows: int, n_cols: int, rows, cols) -> np.ndarray:
@@ -94,8 +115,11 @@ class BitMatrix:
     def __init__(self, n_rows: int, n_cols: int, rows, cols):
         """Set entry (rows[k], cols[k]) for every k; repeated entries XOR-cancel.
         rows and cols are index arrays of any shapes that broadcast together."""
-        keys, counts = np.unique(_entry_keys(n_rows, n_cols, rows, cols), return_counts=True)
-        cols, rows = np.divmod(keys[counts % 2 == 1], n_rows)
+        keys = np.sort(_entry_keys(n_rows, n_cols, rows, cols))
+        bounds = _run_bounds(keys)
+        if bounds.size <= keys.size:  # a key repeats: keep those given an odd number of times
+            keys = keys[bounds[:-1][np.diff(bounds) % 2 == 1]]
+        cols, rows = np.divmod(keys, n_rows)
         self.n_rows, self.n_cols, self._entries = n_rows, n_cols, (rows, cols)
 
     @classmethod
@@ -200,12 +224,11 @@ def _peel(rows: np.ndarray, cols: np.ndarray, n_rows: int) -> np.ndarray:
     return np.array(out, dtype=np.intp)
 
 
-def _reduce(rows: Iterable[int]) -> Iterator[int]:
-    """Reduce each row against the pivots of the rows before it, keyed by
-    leading bit; a row that does not reduce to zero becomes a pivot.
-    Yields the reduced rows, in row order, as they are reduced, so a
-    caller may stop early."""
-    pivots: dict[int, int] = {}
+def _reduce(rows: Iterable[int], pivots: dict[int, int]) -> Iterator[int]:
+    """Reduce each row against `pivots`, keyed by leading bit; a row that
+    does not reduce to zero is added to them as a pivot.  Yields the
+    reduced rows, in row order, as they are reduced, so a caller may
+    stop early and read the pivots so far."""
     get = pivots.get  # bound once: this loop is the engine's hot path
     for v in rows:
         lead = v.bit_length() - 1
@@ -225,11 +248,9 @@ def _column_pivots(m: BitMatrix, label: np.ndarray) -> dict[int, int]:
     nr = m.n_rows
     rows, cols = m.nonzero()
     pivots: dict[int, int] = {}
-    for v in _reduce(_xor_pack(m.n_cols, cols, label[rows])):
-        if v:
-            pivots[v.bit_length() - 1] = v
-            if len(pivots) == nr:  # full rank: the other columns are in the span
-                break
+    for v in _reduce(_pack(cols, label[rows]), pivots):
+        if v and len(pivots) == nr:  # full rank: the other columns are in the span
+            break
     return pivots
 
 
@@ -264,12 +285,17 @@ def gf2_rank_nullspace(m: BitMatrix) -> tuple[int, tuple[int, ...]]:
     nr = m.n_rows
     label = _degree_labels(m.nonzero()[0], nr)
     pivots = _column_pivots(m, label)
-    leads = sorted(pivots)
+    if len(pivots) == nr:
+        return nr, ()
+    runs = sorted(pivots.items())
+    leads = [p for p, _ in runs]
     vectors = []
-    for j in set(range(nr)).difference(pivots):
+    for j in range(nr):
+        if j in pivots:
+            continue
         x = 1 << j
-        for p in leads[bisect_right(leads, j):]:
-            if (x & pivots[p]).bit_count() & 1:
+        for p, v in runs[bisect_right(leads, j):]:
+            if (x & v).bit_count() & 1:
                 x |= 1 << p
         vectors.append(_relabel(x, label, nr))
     return len(pivots), _canonical(vectors)
@@ -290,7 +316,7 @@ def _canonical(vectors: list[int]) -> tuple[int, ...]:
     tops = 0
     # Ascending tops: each earlier vector is final and holds no other
     # earlier top, so one read of v & tops finds every XOR v needs.
-    for v in sorted(_reduce(vectors)):
+    for v in sorted(_reduce(vectors, {})):
         for t in bit_indices(v & tops):
             v ^= out[t]
         top = v.bit_length() - 1

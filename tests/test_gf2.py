@@ -7,7 +7,10 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from fflab.gf2 import (
+    PACK_BLOCK,
     BitMatrix,
+    _degree_labels,
+    _pack,
     _pair_components,
     _peel,
     bit_indices,
@@ -181,6 +184,56 @@ def test_large_null_space_is_fast():
     assert time.perf_counter() - t0 < 2.0
     assert rank == 1
     assert basis == tuple(1 << i for i in range(1, 8000))
+
+
+def test_full_rank_returns_no_basis():
+    rng = np.random.default_rng(17)
+    for n_rows, n_cols in ((1, 1), (40, 40), (64, 90), (130, 200)):
+        while True:
+            dense = random_dense(rng, n_rows, n_cols)
+            if rank_mod2_dense(dense) == n_rows:
+                break
+        assert gf2_rank_nullspace(BitMatrix.from_dense(dense)) == (n_rows, ())
+
+
+def xor_built_columns(n_cols, cols, shifts):
+    """The nonzero columns, as ints, built entry by entry: bit shifts[k]
+    of column cols[k] flipped for every k."""
+    out = [0] * n_cols
+    for c, b in zip(cols.tolist(), shifts.tolist()):
+        out[c] ^= 1 << b
+    return [v for v in out if v]
+
+
+@pytest.mark.parametrize("n,r,s", [(3, 2, 2), (64, 2, 2), (300, 1, 2), (300, 1, 4),
+                                   (PACK_BLOCK + 1, 2, 2), (PACK_BLOCK + 1, 1, 3)])
+def test_pack_equals_the_entrywise_xor_build(n, r, s):
+    m = sample_gf2(ModelConfig(n=n, r=r, s=s, replacement="with", master_seed=n), 0)
+    rows, cols = m.nonzero()
+    if s == 2:  # a column whose two draws are equal cancels to empty
+        assert np.unique(cols).size < m.n_cols
+    for shifts in (rows, _degree_labels(rows, m.n_rows)[rows]):
+        assert list(_pack(cols, shifts)) == xor_built_columns(m.n_cols, cols, shifts)
+
+
+def test_pack_splits_blocks_at_column_boundaries():
+    # PACK_BLOCK + 2 columns of 6 entries each, with an empty column
+    # after each: the second block starts on a column, not on an entry
+    n_cols = 2 * (PACK_BLOCK + 2)
+    rows, cols = BitMatrix(200, n_cols, np.arange(3 * n_cols) % 200,
+                           np.repeat(np.arange(n_cols), 3) // 2 * 2).nonzero()
+    assert np.unique(cols).size == PACK_BLOCK + 2
+    assert list(_pack(cols, rows)) == xor_built_columns(n_cols, cols, rows)
+    assert list(_pack(cols[:0], rows[:0])) == []
+
+
+def test_repeated_entries_cancel_in_pairs():
+    # entry (k, k) is given k + 1 times, in shuffled order
+    rng = np.random.default_rng(3)
+    idx = rng.permutation(np.repeat(np.arange(8), np.arange(1, 9)))
+    m = BitMatrix(8, 8, idx, idx)
+    rows, cols = m.nonzero()
+    assert rows.tolist() == cols.tolist() == [0, 2, 4, 6]  # given 1, 3, 5 and 7 times
 
 
 def core_columns(n_rows, rows, cols):

@@ -15,11 +15,12 @@ one Python int over relabelled rows: rows are ordered by degree,
 descending, so the lowest-degree rows take the highest bits and lead the
 pivots, which keeps fill-in low (a light form of Markowitz ordering, as
 in structured Gaussian elimination).  The column ints are packed
-lazily, PACK_BLOCK columns at a time, each block by one NumPy shift and
-one ``bitwise_or.reduceat`` over an object array of its entries
-(:func:`_pack`), so no per-entry Python loop runs, no table of powers of
-two is built, and the ints of at most one block exist before
-elimination reaches them.  The rows that lead no pivot are
+lazily, 512 (PACK_BLOCK) columns at a time, each block by one NumPy
+shift and one ``bitwise_or.reduceat`` over an object array of its
+entries (:func:`_pack`, which needs them grouped by column, not sorted,
+and also packs the GF(p) engine's lane ints), so no per-entry Python
+loop runs and the ints of at most one block exist before elimination
+reaches them.  The rows that lead no pivot are
 the free rows; each gives one null vector by back-substitution over the
 pivots above it.  A final Gauss-Jordan pass keyed by the top row index
 makes the basis canonical, so it does not depend on the engine or on
@@ -61,7 +62,7 @@ def indices_to_bits(indices: Iterable[int]) -> int:
     return v
 
 
-PACK_BLOCK = 4096  # columns packed per NumPy call
+PACK_BLOCK = 512  # columns packed per NumPy call
 
 
 def _run_bounds(a: np.ndarray) -> np.ndarray:
@@ -72,16 +73,19 @@ def _run_bounds(a: np.ndarray) -> np.ndarray:
     return np.flatnonzero(new)
 
 
-def _pack(cols: np.ndarray, shifts: np.ndarray) -> Iterator[int]:
-    """The nonempty columns of a column-major entry list as Python ints,
-    in column order: column c is the OR of 1 << shifts[k] over its
-    entries k (the XOR, as positions are unique).  One object-dtype
-    shift and one ``bitwise_or.reduceat`` per PACK_BLOCK columns, so
-    the object array never spans the whole matrix."""
+def _pack(cols: np.ndarray, shifts: np.ndarray, vals: np.ndarray | None = None) -> Iterator[int]:
+    """The nonempty columns of an entry list grouped by column (not
+    necessarily sorted) as Python ints, in the order given: a column's
+    int is the OR of vals[k] << shifts[k] over its entries k, or of
+    1 << shifts[k] when vals is None (the XOR, as no two overlap).  One
+    object-dtype shift and one ``bitwise_or.reduceat`` per PACK_BLOCK
+    columns, so the object array never spans the whole matrix."""
     bounds = _run_bounds(cols)
     for b in range(0, bounds.size - 1, PACK_BLOCK):
         starts = bounds[b:b + PACK_BLOCK + 1]
-        bits = np.left_shift(1, shifts[starts[0]:starts[-1]].astype(object))
+        span = slice(starts[0], starts[-1])
+        bits = np.left_shift(1 if vals is None else vals[span].astype(object),
+                             shifts[span].astype(object))
         yield from np.bitwise_or.reduceat(bits, starts[:-1] - starts[0]).tolist()
 
 

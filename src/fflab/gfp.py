@@ -13,12 +13,12 @@ exactly one live entry, the column holding it is removed and the rank
 goes up by 1.  The core's rows are relabelled by degree, descending, so
 the lowest-degree rows lead the pivots, and the core's columns are fed
 in ascending order of their lowest label.  Each column is one Python int
-over those labels, built straight from the matrix entries, and a
-dictionary maps each leading position to a monic pivot column.  A label
-is a *lane* of w bits instead of a single bit, and the XOR of GF(2)
-becomes a lane-wise multiply-add followed by a lane-wise reduction mod p
-(see :class:`_Lanes`).  The null space comes from back-substitution over
-the pivots and then over the peeled columns, last peeled first; a
+over those labels, packed by :func:`fflab.gf2._pack`, and a dictionary
+maps each leading position to a monic pivot column.  A label is a *lane*
+of w bits instead of a single bit, and the XOR of GF(2) becomes a
+lane-wise multiply-add followed by a lane-wise reduction mod p (see
+:class:`_Lanes`).  The null space comes from back-substitution over the
+pivots and then over the peeled columns, last peeled first; a
 Gauss-Jordan pass keyed by the top row index makes it canonical.  Python
 ints never overflow, so the engine is exact for every prime.
 """
@@ -30,7 +30,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .gf2 import _degree_labels, _entry_keys, _peel
+from .gf2 import _degree_labels, _entry_keys, _pack, _peel
 
 # Deterministic Miller-Rabin: the smallest composite that is a strong
 # pseudoprime to every prime base up to 37 is this bound, 3.2e23
@@ -119,7 +119,11 @@ class PrimeFieldMatrix:
 
     @classmethod
     def from_dense(cls, dense: np.ndarray, p: int) -> "PrimeFieldMatrix":
-        a = np.asarray(dense, dtype=np.int64) % p
+        check_modulus(p)
+        a = np.asarray(dense, dtype=np.int64)
+        if a.ndim != 2:
+            raise ValueError("expected a 2-d array")
+        a = a % p
         rows, cols = np.nonzero(a)
         return cls(p, *a.shape, rows, cols, a[rows, cols])
 
@@ -182,14 +186,6 @@ class _Lanes:
         ones = ((1 << (self.w * n_lanes)) - 1) // ((1 << self.w) - 1)  # bit 0 of every lane
         self.qmask = ((1 << qbits) - 1) * ones
 
-    def pack(self, n_vectors: int, index, lane, vals) -> list[int]:
-        """n_vectors ints with vals[k] in lane lane[k] of int index[k];
-        each position at most once, every value below 2^w."""
-        out = [0] * n_vectors
-        for i, shift, v in zip(index.tolist(), (lane * self.w).tolist(), vals.tolist()):
-            out[i] |= v << shift
-        return out
-
     def unpack(self, v: int) -> np.ndarray:
         """Every lane of v, as an int64 residue vector."""
         lanes = np.frombuffer(v.to_bytes(self.n_lanes * self.w // 8, "little"), dtype=self.dtype)
@@ -245,12 +241,11 @@ def _column_pivots(m: PrimeFieldMatrix) -> tuple[dict[int, int], _Lanes, np.ndar
     label = _degree_labels(rows, m.n_rows)
     lab = label[rows]
     new = np.diff(cols, prepend=-1) != 0  # the first entry of each core column
-    order = np.argsort(np.minimum.reduceat(lab, np.flatnonzero(new)), kind="stable")
-    position = np.empty_like(order)
-    position[order] = np.arange(order.size)
+    # each entry's column minimum; a stable sort keeps each column's entries together
+    k = np.argsort(np.minimum.reduceat(lab, np.flatnonzero(new))[np.cumsum(new) - 1],
+                   kind="stable")
     lanes = _Lanes(m.p, m.n_rows)
-    vectors = lanes.pack(order.size, position[np.cumsum(new) - 1], lab, vals)
-    return _eliminate(vectors, lanes), lanes, label, leaves
+    return _eliminate(_pack(cols[k], lab[k] * lanes.w, vals[k]), lanes), lanes, label, leaves
 
 
 def gfp_rank(m: PrimeFieldMatrix) -> int:

@@ -235,13 +235,14 @@ def gft_params(gft_model: int, p: int, f: "list[float] | None" = None
                ) -> tuple[float, float, float]:
     """(gamma, alpha, beta) for a GF(p) model; f gives Pr(residue 1..p-1).
 
-    Model 1 is Model 2 with all mass on residue 1.
+    Model 1 is Model 2 with all mass on residue 1, so it takes no f.
     """
+    if p < 2:
+        raise ValueError("p must be >= 2")
+    if gft_model == 1 and f is not None:
+        raise ValueError("f applies only to Models 2 and 3")
     if f is None:
-        f = [1.0 / (p - 1)] * (p - 1)
-    if gft_model == 1:
-        f = [0.0] * (p - 1)
-        f[0] = 1.0
+        f = [1.0] + [0.0] * (p - 2) if gft_model == 1 else [1.0 / (p - 1)] * (p - 1)
     if len(f) != p - 1:
         raise ValueError("f must give probabilities for residues 1..p-1")
 

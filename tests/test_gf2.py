@@ -176,6 +176,19 @@ def test_elimination_allocates_no_dense_array():
     assert peak < 8 * 2**20  # a dense n x n uint8 temporary alone is 16 MB
 
 
+def test_rank_packs_in_small_blocks():
+    # at most one block of column ints is packed ahead of elimination;
+    # with blocks of 4096 columns this peak read 13.5 MB
+    m = sample_gf2(ModelConfig(n=8000, master_seed=8000), 0)
+    tracemalloc.start()
+    try:
+        gf2_rank(m)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10 * 2**20
+
+
 def test_large_null_space_is_fast():
     # one column set in row 0 alone: every other row is its own dependency;
     # a pairwise canonical pass over the 7999 vectors takes seconds
@@ -225,6 +238,16 @@ def test_pack_splits_blocks_at_column_boundaries():
     assert np.unique(cols).size == PACK_BLOCK + 2
     assert list(_pack(cols, rows)) == xor_built_columns(n_cols, cols, rows)
     assert list(_pack(cols[:0], rows[:0])) == []
+
+
+def test_three_column_blocks_change_no_basis(monkeypatch):
+    ms = [sample_gf2(ModelConfig(n=60, r=r, s=s, replacement=rep, master_seed=60), t)
+          for r, s, rep in ((1, 3, "without"), (2, 2, "with"), (2, 3, "with")) for t in range(3)]
+    unpatched = [gf2_rank_nullspace(m) for m in ms]
+    monkeypatch.setattr("fflab.gf2.PACK_BLOCK", 3)
+    for m, result in zip(ms, unpatched):
+        assert gf2_rank_nullspace(m) == result
+        assert_canonical_basis(m, m.to_dense())
 
 
 def test_repeated_entries_cancel_in_pairs():

@@ -2,6 +2,7 @@ import hashlib
 import itertools
 import time
 import tracemalloc
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -9,7 +10,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from fflab.gf2 import _peel
+from fflab.gf2 import PACK_BLOCK, _pack, _peel
 from fflab.gfp import (
     PrimeFieldMatrix,
     _Lanes,
@@ -46,9 +47,54 @@ def test_lane_quotient_exhaustive_small_primes():
         xs = np.arange(p * p)
         assert all((x * lanes.m) >> lanes.k == x // p for x in xs.tolist())
         # the same reduction on every x at once, one x per lane
-        y = lanes.pack(1, np.zeros_like(xs), xs, xs)[0]
+        y, = _pack(np.zeros_like(xs), xs * lanes.w, xs)
         y -= (((y * lanes.m) >> lanes.k) & lanes.qmask) * p
         assert (lanes.unpack(y) == xs % p).all()
+
+
+def lane_built_columns(n_vectors, index, lane, vals, w):
+    """The lane ints built entry by entry: vals[k] in lane lane[k] of
+    int index[k]."""
+    out = [0] * n_vectors
+    for i, shift, v in zip(index.tolist(), (lane * w).tolist(), vals.tolist()):
+        out[i] |= v << shift
+    return out
+
+
+@pytest.mark.parametrize("p", [3, 5, BIG_P])
+def test_pack_with_values_equals_the_entrywise_lane_build(p):
+    # more than PACK_BLOCK columns of 3 entries, fed in ascending order
+    # of their lowest label, ties by index, as the engine feeds them
+    rng = np.random.default_rng(p)
+    n_rows, n_cols = 300, 2 * PACK_BLOCK + 5
+    m = PrimeFieldMatrix(p, n_rows, n_cols, np.argsort(rng.random((n_cols, n_rows)))[:, :3],
+                         np.arange(n_cols)[:, None], rng.integers(1, p, size=(n_cols, 3)))
+    rows, cols, vals = m.nonzero()
+    lab = rng.permutation(n_rows)[rows]
+    low = {}
+    for c, l in zip(cols.tolist(), lab.tolist()):
+        low[c] = min(low.get(c, l), l)
+    fed = sorted(low, key=lambda c: (low[c], c))
+    assert fed != sorted(fed)
+    position = dict(zip(fed, range(n_cols)))
+    index = np.array([position[c] for c in cols.tolist()])
+    k = np.argsort(index, kind="stable")
+    w = _Lanes(p, n_rows).w
+    assert list(_pack(cols[k], lab[k] * w, vals[k])) == lane_built_columns(n_cols, index, lab,
+                                                                            vals, w)
+
+
+def test_three_column_blocks_change_no_basis(monkeypatch):
+    ms = [sample_gft(ModelConfig(n=60, p=p, gft_model=model, master_seed=60), t)
+          for model, p in ((1, 3), (2, 5), (3, 7)) for t in range(3)]
+    unpatched = [gfp_rank_nullspace(m) for m in ms]
+    monkeypatch.setattr("fflab.gf2.PACK_BLOCK", 3)
+    for m, (rank, basis) in zip(ms, unpatched):
+        deps, vectors = left_nullspace_canonical_modp_dense(m.entries, m.p)
+        assert rank == m.n_rows - len(deps)
+        got_rank, got = gfp_rank_nullspace(m)
+        assert got_rank == rank
+        assert [x.tolist() for x in got] == [x.tolist() for x in basis] == vectors
 
 
 def test_identity_full_rank_gf3():
@@ -70,6 +116,19 @@ def test_modulus_beyond_int64_rejected():
     # prime, but its residues overflow int64
     with pytest.raises(ValueError, match="fit int64"):
         PrimeFieldMatrix(2**64 + 13, 2, 2, [], [], [])
+
+
+def test_from_dense_checks_before_it_reduces():
+    dense = np.eye(2, dtype=np.int64)
+    with pytest.raises(ValueError, match="fit int64"):
+        PrimeFieldMatrix.from_dense(dense, 2**64 + 13)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no divide-by-zero warning from % 0
+        with pytest.raises(ValueError, match="not prime"):
+            PrimeFieldMatrix.from_dense(dense, 0)
+    for bad in (np.ones(3), np.ones((2, 2, 2))):
+        with pytest.raises(ValueError, match="2-d"):
+            PrimeFieldMatrix.from_dense(bad, 3)
 
 
 def test_entries_out_of_range_rejected():

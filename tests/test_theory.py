@@ -263,6 +263,15 @@ class TestGft:
             assert gamma == pytest.approx(1 / (p - 1))
             assert beta == pytest.approx(gamma)
 
+    def test_params_refuse_bad_inputs(self):
+        for p in (1, 0, -3):
+            with pytest.raises(ValueError, match="p must be"):
+                theory.gft_params(2, p)
+        with pytest.raises(ValueError, match="Models 2 and 3"):
+            theory.gft_params(1, 3, [0.2])
+        with pytest.raises(ValueError, match="Models 2 and 3"):
+            theory.gft_params(1, 3, [1.0, 0.0])
+
     def test_corank_refuses_outside_hypothesis(self):
         # GF(3) Model 1: alpha=1 > 2*gamma=0 sits outside the validity domain
         with pytest.raises(ValueError):

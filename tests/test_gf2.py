@@ -219,7 +219,7 @@ def xor_built_columns(n_cols, cols, shifts):
 
 
 @pytest.mark.parametrize("n,r,s", [(3, 2, 2), (64, 2, 2), (300, 1, 2), (300, 1, 4),
-                                   (PACK_BLOCK + 1, 2, 2), (PACK_BLOCK + 1, 1, 3)])
+                                   (4097, 2, 2), (4097, 1, 3)])
 def test_pack_equals_the_entrywise_xor_build(n, r, s):
     m = sample_gf2(ModelConfig(n=n, r=r, s=s, replacement="with", master_seed=n), 0)
     rows, cols = m.nonzero()

@@ -126,7 +126,7 @@ def greedy_large_basis(codewords: list[tuple[int, int]], small_supports: list[in
     """
     omega = default_omega(n)
     large = [c for c, w in codewords if w > omega and in_large_window(w, n, WINDOW_A)]
-    reduced = list(_reduce([*small_supports, *large], {}))[len(small_supports):]
+    reduced = list(_reduce([*small_supports, *large], [0] * n))[len(small_supports):]
     return [c for c, v in zip(large, reduced) if v]
 
 

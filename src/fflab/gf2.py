@@ -20,11 +20,11 @@ shift and one ``bitwise_or.reduceat`` over an object array of its
 entries (:func:`_pack`, which needs them grouped by column, not sorted,
 and also packs the GF(p) engine's lane ints), so no per-entry Python
 loop runs and the ints of at most one block exist before elimination
-reaches them.  The rows that lead no pivot are
-the free rows; each gives one null vector by back-substitution over the
-pivots above it.  A final Gauss-Jordan pass keyed by the top row index
-makes the basis canonical, so it does not depend on the engine or on
-the row order used inside it.
+reaches them.  The pivots sit in a list indexed by leading bit, 0 where
+none leads.  The rows that lead no pivot are the free rows; each gives
+one null vector by back-substitution over the pivots above it, walked
+in lead order.  A Gauss-Jordan pass keyed by the top row index makes
+the basis canonical, independent of the engine and its row order.
 
 The row order and the 2-core peel (:func:`_degree_labels`,
 :func:`_peel`) read the entry list alone, so they are stated here once;
@@ -228,39 +228,39 @@ def _peel(rows: np.ndarray, cols: np.ndarray, n_rows: int) -> np.ndarray:
     return np.array(out, dtype=np.intp)
 
 
-def _reduce(rows: Iterable[int], pivots: dict[int, int]) -> Iterator[int]:
-    """Reduce each row against `pivots`, keyed by leading bit; a row that
-    does not reduce to zero is added to them as a pivot.  Yields the
-    reduced rows, in row order, as they are reduced, so a caller may
-    stop early and read the pivots so far."""
-    get = pivots.get  # bound once: this loop is the engine's hot path
+def _reduce(rows: Iterable[int], pivots: list[int]) -> Iterator[int]:
+    """Reduce each row against `pivots`, a list indexed by leading bit,
+    0 where none leads; a row that does not reduce to zero becomes the
+    pivot at its lead.  Yields the reduced rows, in order, as they are
+    reduced, so a caller may stop early and read the pivots so far."""
     for v in rows:
-        lead = v.bit_length() - 1
-        while lead >= 0:
-            hit = get(lead)
-            if hit is None:
+        while v:
+            lead = v.bit_length() - 1
+            hit = pivots[lead]
+            if not hit:
                 pivots[lead] = v
                 break
             v ^= hit
-            lead = v.bit_length() - 1
         yield v
 
 
-def _column_pivots(m: BitMatrix, label: np.ndarray) -> dict[int, int]:
-    """Eliminate the columns of m with row i on bit label[i].  Returns
-    the nonzero reduced columns, keyed by leading bit."""
+def _column_pivots(m: BitMatrix, label: np.ndarray) -> tuple[list[int], int]:
+    """Eliminate the columns of m with row i on bit label[i].  Returns the
+    pivot list, of length n_rows, as :func:`_reduce` fills it, and the rank."""
     nr = m.n_rows
     rows, cols = m.nonzero()
-    pivots: dict[int, int] = {}
+    pivots, rank = [0] * nr, 0
     for v in _reduce(_pack(cols, label[rows]), pivots):
-        if v and len(pivots) == nr:  # full rank: the other columns are in the span
-            break
-    return pivots
+        if v:
+            rank += 1
+            if rank == nr:  # full rank: the other columns are in the span
+                break
+    return pivots, rank
 
 
 def gf2_rank(m: BitMatrix) -> int:
     """Row rank over GF(2): the number of pivot columns."""
-    return len(_column_pivots(m, _degree_labels(m.nonzero()[0], m.n_rows)))
+    return _column_pivots(m, _degree_labels(m.nonzero()[0], m.n_rows))[1]
 
 
 def gf2_rank_nullspace(m: BitMatrix) -> tuple[int, tuple[int, ...]]:
@@ -288,21 +288,21 @@ def gf2_rank_nullspace(m: BitMatrix) -> tuple[int, tuple[int, ...]]:
     """
     nr = m.n_rows
     label = _degree_labels(m.nonzero()[0], nr)
-    pivots = _column_pivots(m, label)
-    if len(pivots) == nr:
+    pivots, rank = _column_pivots(m, label)
+    if rank == nr:
         return nr, ()
-    runs = sorted(pivots.items())
+    runs = [(p, v) for p, v in enumerate(pivots) if v]  # ascending leads
     leads = [p for p, _ in runs]
     vectors = []
-    for j in range(nr):
-        if j in pivots:
+    for j, pivot in enumerate(pivots):
+        if pivot:
             continue
         x = 1 << j
         for p, v in runs[bisect_right(leads, j):]:
             if (x & v).bit_count() & 1:
                 x |= 1 << p
         vectors.append(_relabel(x, label, nr))
-    return len(pivots), _canonical(vectors)
+    return rank, _canonical(vectors, nr)
 
 
 def _relabel(x: int, label: np.ndarray, nr: int) -> int:
@@ -312,21 +312,22 @@ def _relabel(x: int, label: np.ndarray, nr: int) -> int:
     return int.from_bytes(np.packbits(bits[label], bitorder="little").tobytes(), "little")
 
 
-def _canonical(vectors: list[int]) -> tuple[int, ...]:
+def _canonical(vectors: list[int], n: int) -> tuple[int, ...]:
     """Reduced echelon form keyed by top bit, in ascending order, of a
-    list of independent vectors: each vector keeps its own top bit and
-    no other vector's."""
-    out: dict[int, int] = {}
-    tops = 0
+    list of independent vectors below bit n: each vector keeps its own
+    top bit and no other vector's."""
+    out, tops = [0] * n, 0  # out is indexed by top bit, as _reduce leaves it
+    for _ in _reduce(vectors, out):
+        pass
     # Ascending tops: each earlier vector is final and holds no other
     # earlier top, so one read of v & tops finds every XOR v needs.
-    for v in sorted(_reduce(vectors, {})):
-        for t in bit_indices(v & tops):
-            v ^= out[t]
-        top = v.bit_length() - 1
-        out[top] = v
-        tops |= 1 << top
-    return tuple(out.values())
+    for top, v in enumerate(out):
+        if v:
+            for t in bit_indices(v & tops):
+                v ^= out[t]
+            out[top] = v
+            tops |= 1 << top
+    return tuple(v for v in out if v)
 
 
 def _pair_components(n: int, rows: np.ndarray, cols: np.ndarray) -> int:

@@ -13,14 +13,14 @@ exactly one live entry, the column holding it is removed and the rank
 goes up by 1.  The core's rows are relabelled by degree, descending, so
 the lowest-degree rows lead the pivots, and the core's columns are fed
 in ascending order of their lowest label.  Each column is one Python int
-over those labels, packed by :func:`fflab.gf2._pack`, and a dictionary
-maps each leading position to a monic pivot column.  A label is a *lane*
-of w bits instead of a single bit, and the XOR of GF(2) becomes a
-lane-wise multiply-add followed by a lane-wise reduction mod p (see
-:class:`_Lanes`).  The null space comes from back-substitution over the
-pivots and then over the peeled columns, last peeled first; a
-Gauss-Jordan pass keyed by the top row index makes it canonical.  Python
-ints never overflow, so the engine is exact for every prime.
+over those labels, packed by :func:`fflab.gf2._pack`; the monic pivots
+sit in a list indexed by leading lane, 0 where none leads.  A label is a
+*lane* of w bits instead of a single bit, and the XOR of GF(2) becomes a
+lane-wise multiply-add and a lane-wise reduction mod p (:class:`_Lanes`).
+The null space comes from back-substitution over the pivots and then
+over the peeled columns, last peeled first; a Gauss-Jordan pass keyed by
+the top row index makes it canonical.  Python ints never overflow, so
+the engine is exact for every prime.
 """
 from __future__ import annotations
 
@@ -192,40 +192,41 @@ class _Lanes:
         return lanes.reshape(self.n_lanes, -1)[:, 0].astype(np.int64)
 
 
-def _eliminate(vectors: Iterable[int], lanes: _Lanes) -> dict[int, int]:
-    """Reduce each vector against the monic pivots of the vectors before
-    it, keyed by leading lane; a vector that does not cancel to zero
-    becomes a monic pivot.  Stops once the pivots span every lane, as
-    any further vector then cancels.  Returns the pivots."""
+def _eliminate(vectors: Iterable[int], lanes: _Lanes) -> tuple[list[int], int]:
+    """Reduce each vector against the monic pivots before it, a list
+    indexed by leading lane, 0 where none leads; a vector that does not
+    cancel becomes a monic pivot.  Stops once the pivots span every lane,
+    as any further vector then cancels.  Returns the list and the rank."""
     p, w, m, k, qmask = lanes.p, lanes.w, lanes.m, lanes.k, lanes.qmask
-    pivots: dict[int, int] = {}
-    get = pivots.get  # bound once: this loop is the engine's hot path
+    pivots, rank = [0] * lanes.n_lanes, 0
     for v in vectors:
         while v:
             lead = (v.bit_length() - 1) // w
             f = v >> (lead * w)  # the leading lane is the top of v
-            hit = get(lead)
-            if hit is None:
+            hit = pivots[lead]
+            if not hit:
                 if f != 1:  # most new pivots are fresh columns, already monic
                     y = v * pow(f, -1, p)
                     v = y - (((y * m) >> k) & qmask) * p
                 pivots[lead] = v
+                rank += 1
                 break
             y = v + (p - f) * hit
             v = y - (((y * m) >> k) & qmask) * p
-        if len(pivots) == lanes.n_lanes:
+        if rank == lanes.n_lanes:
             break
-    return pivots
+    return pivots, rank
 
 
-def _column_pivots(m: PrimeFieldMatrix) -> tuple[dict[int, int], _Lanes, np.ndarray, np.ndarray]:
+def _column_pivots(m: PrimeFieldMatrix) -> tuple[list[int], int, _Lanes, np.ndarray, np.ndarray]:
     """Peel m to its 2-core (:func:`fflab.gf2._peel`), label the rows by
     their degree in the core (:func:`fflab.gf2._degree_labels`), and
     eliminate the core's columns with row i on lane label[i], fed in
     ascending order of their lowest label (a stable sort).  Each peeled
     column adds 1 to the rank, so the rank is the number of pivots plus
-    the number of leaves.  Returns the pivots, the lane layout, the
-    labels and the peel's leaf entries, in peel order.
+    the number of leaves.  Returns the pivot list of :func:`_eliminate`,
+    the rank, the lane layout, the labels and the peel's leaf entries,
+    in peel order.
 
     The peel drops the columns that a leaf row alone pivots, and the
     core's rows take the lowest labels, so the lane ints are shorter;
@@ -245,14 +246,14 @@ def _column_pivots(m: PrimeFieldMatrix) -> tuple[dict[int, int], _Lanes, np.ndar
     k = np.argsort(np.minimum.reduceat(lab, np.flatnonzero(new))[np.cumsum(new) - 1],
                    kind="stable")
     lanes = _Lanes(m.p, m.n_rows)
-    return _eliminate(_pack(cols[k], lab[k] * lanes.w, vals[k]), lanes), lanes, label, leaves
+    pivots, rank = _eliminate(_pack(cols[k], lab[k] * lanes.w, vals[k]), lanes)
+    return pivots, rank + leaves.size, lanes, label, leaves
 
 
 def gfp_rank(m: PrimeFieldMatrix) -> int:
     """Row rank over GF(p): the number of peeled columns and of core
     pivots."""
-    pivots, _, _, leaves = _column_pivots(m)
-    return len(pivots) + leaves.size
+    return _column_pivots(m)[1]
 
 
 def gfp_rank_nullspace(m: PrimeFieldMatrix) -> tuple[int, list[np.ndarray]]:
@@ -284,17 +285,16 @@ def gfp_rank_nullspace(m: PrimeFieldMatrix) -> tuple[int, list[np.ndarray]]:
     """
     nr, p = m.n_rows, m.p
     rows, cols, vals = m.nonzero()
-    pivots, lanes, label, leaves = _column_pivots(m)
-    leaf_label = label[rows[leaves]].tolist()
-    rank = len(pivots) + len(leaf_label)
-    free = sorted(set(range(nr)).difference(pivots, leaf_label))
-    if not free:
+    pivots, rank, lanes, label, leaves = _column_pivots(m)
+    if rank == nr:
         return rank, []
+    leaf_labels = set(label[rows[leaves]].tolist())  # a leaf's label leads no pivot
+    leads = [q for q, v in enumerate(pivots) if v]
+    free = [j for j, v in enumerate(pivots) if not (v or j in leaf_labels)]
     # the lanes below the lead of each pivot above the lowest free label,
     # read from one buffer (no larger than the pivots) as (lane, value)
     # runs, one run per pivot
     w = lanes.w
-    leads = sorted(pivots)
     above = leads[bisect_right(leads, free[0]):]
     buf = b"".join((pivots[q] ^ (1 << q * w)).to_bytes(q * w // 8, "little") for q in above)
     low = np.frombuffer(buf, dtype=lanes.dtype)[::max(1, w // 64)]
@@ -344,19 +344,18 @@ def _canonical(vectors: list[int], lanes: _Lanes) -> list[int]:
     top lane and zero at every other vector's."""
     p, w, m, k, qmask = lanes.p, lanes.w, lanes.m, lanes.k, lanes.qmask
     lane_mask = (1 << w) - 1
-    out: dict[int, int] = {}
+    out = _eliminate(vectors, lanes)[0]  # indexed by top lane
     tops = 0  # every bit of each earlier top lane
-    pivots = _eliminate(vectors, lanes)
     # Ascending tops: each earlier vector is final and zero at every
     # other earlier top, so one read of v & tops finds every lane to clear.
-    for top in sorted(pivots):
-        v = pivots[top]
-        hits = v & tops
-        while hits:
-            t = (hits.bit_length() - 1) // w
-            y = v + (p - ((v >> t * w) & lane_mask)) * out[t]
-            v = y - (((y * m) >> k) & qmask) * p
-            hits &= (1 << t * w) - 1
-        out[top] = v
-        tops |= lane_mask << top * w
-    return list(out.values())
+    for top, v in enumerate(out):
+        if v:
+            hits = v & tops
+            while hits:
+                t = (hits.bit_length() - 1) // w
+                y = v + (p - ((v >> t * w) & lane_mask)) * out[t]
+                v = y - (((y * m) >> k) & qmask) * p
+                hits &= (1 << t * w) - 1
+            out[top] = v
+            tops |= lane_mask << top * w
+    return [v for v in out if v]

@@ -1,3 +1,4 @@
+import pytest
 from hypothesis import HealthCheck, settings
 
 settings.register_profile(
@@ -8,3 +9,20 @@ settings.register_profile(
     suppress_health_check=[HealthCheck.too_slow],
 )
 settings.load_profile("fflab")
+
+
+@pytest.fixture
+def count_packed(monkeypatch):
+    """Wraps a module's _pack (fflab.gf2 or fflab.gfp) so that every
+    column int it yields is appended to a list; returns that list."""
+    def count(module):
+        drawn, pack = [], module._pack
+
+        def counted(*args):
+            for v in pack(*args):
+                drawn.append(v)
+                yield v
+
+        monkeypatch.setattr(module, "_pack", counted)
+        return drawn
+    return count

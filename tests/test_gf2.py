@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import fflab.gf2
 from fflab.gf2 import (
     PACK_BLOCK,
     BitMatrix,
@@ -13,6 +14,7 @@ from fflab.gf2 import (
     _pack,
     _pair_components,
     _peel,
+    _reduce,
     bit_indices,
     gf2_rank,
     gf2_rank_nullspace,
@@ -207,6 +209,47 @@ def test_full_rank_returns_no_basis():
             if rank_mod2_dense(dense) == n_rows:
                 break
         assert gf2_rank_nullspace(BitMatrix.from_dense(dense)) == (n_rows, ())
+
+
+def test_full_rank_stops_drawing_columns(count_packed):
+    # the identity comes first, so the rank reaches n_rows at column n - 1;
+    # the 40 random columns after it are in the span and are never packed
+    n, rng = 100, np.random.default_rng(5)
+    dense = np.hstack([np.eye(n, dtype=np.int64), rng.integers(0, 2, size=(n, 40))])
+    m = BitMatrix.from_dense(dense)
+    drawn = count_packed(fflab.gf2)
+    assert gf2_rank(m) == n
+    assert len(drawn) == n
+    drawn.clear()
+    assert gf2_rank_nullspace(m) == (n, ())
+    assert len(drawn) == n
+
+
+def test_reduce_fills_the_list_at_the_leads():
+    pivots = [0] * 6
+    rows = [0b1011, 0b0110, 0b1101, 0b1110, 0b0001]
+    # 0b1101 = 0b1011 ^ 0b0110 is dependent; 0b1110 reduces to 0b0011
+    assert list(_reduce(rows, pivots)) == [0b1011, 0b0110, 0, 0b0011, 0b0001]
+    assert pivots == [0b0001, 0b0011, 0b0110, 0b1011, 0, 0]
+    assert all(v.bit_length() - 1 == lead for lead, v in enumerate(pivots) if v)
+    # a later call reduces against the pivots already in the list
+    assert list(_reduce([0b100111], pivots)) == [0b100111]
+    assert list(_reduce([0b100111 ^ 0b1011], pivots)) == [0]
+    assert pivots[5] == 0b100111
+
+
+def test_back_substitution_walks_only_the_pivots_above():
+    # columns {2i, 2i + 1} for i < 1000: rows 0..1999 keep their labels,
+    # the pivots lead at the odd labels and the even ones below 2000 are
+    # free, interleaved with them; the 8000 rows from 2000 up are free
+    # with no pivot above them.  Measured at 0.17-0.23 s on a 2-core host,
+    # and at 1.3-1.4 s when each free label walked every label above it.
+    n, k = 10_000, 1000
+    t0 = time.perf_counter()
+    rank, basis = gf2_rank_nullspace(BitMatrix(n, k, np.arange(2 * k), np.arange(2 * k) // 2))
+    assert time.perf_counter() - t0 < 0.6
+    assert rank == k
+    assert basis == tuple(0b11 << 2 * i for i in range(k)) + tuple(1 << j for j in range(2 * k, n))
 
 
 def xor_built_columns(n_cols, cols, shifts):

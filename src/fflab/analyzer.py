@@ -121,13 +121,15 @@ def greedy_large_basis(codewords: list[tuple[int, int]], small_supports: list[in
 
     Independence is taken modulo the span of the small supports, so no
     two picks differ by a small dependency: a large codeword is picked
-    iff it does not reduce to zero against the smalls and earlier ones.
+    iff :func:`fflab.gf2._reduce` adds it as a pivot to the slots indexed
+    by bit length that the smalls and earlier picks fill.
     Large means a weight above default_omega(n) and inside J_a, a = WINDOW_A.
     """
     omega = default_omega(n)
-    large = [c for c, w in codewords if w > omega and in_large_window(w, n, WINDOW_A)]
-    reduced = list(_reduce([*small_supports, *large], [0] * n))[len(small_supports):]
-    return [c for c, v in zip(large, reduced) if v]
+    pivots = [0] * (n + 1)
+    _reduce(small_supports, pivots)
+    return [c for c, w in codewords
+            if w > omega and in_large_window(w, n, WINDOW_A) and _reduce([c], pivots)]
 
 
 def is_simple_sequence(vectors: list[int], n: int, a: float = 1.0) -> bool:

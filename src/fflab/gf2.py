@@ -15,16 +15,14 @@ one Python int over relabelled rows: rows are ordered by degree,
 descending, so the lowest-degree rows take the highest bits and lead the
 pivots, which keeps fill-in low (a light form of Markowitz ordering, as
 in structured Gaussian elimination).  The column ints are packed
-lazily, 512 (PACK_BLOCK) columns at a time, each block by one NumPy
-shift and one ``bitwise_or.reduceat`` over an object array of its
-entries (:func:`_pack`, which needs them grouped by column, not sorted,
-and also packs the GF(p) engine's lane ints), so no per-entry Python
-loop runs and the ints of at most one block exist before elimination
-reaches them.  The pivots sit in a list indexed by leading bit, 0 where
-none leads.  The rows that lead no pivot are the free rows; each gives
-one null vector by back-substitution over the pivots above it, walked
-in lead order.  A Gauss-Jordan pass keyed by the top row index makes
-the basis canonical, independent of the engine and its row order.
+lazily, PACK_BLOCK columns at a time by NumPy (:func:`_pack`, which
+also packs the GF(p) engine's lane ints), so no per-entry Python loop
+runs.  One loop, :func:`_reduce`, reduces every GF(2) row list into
+pivot slots indexed by bit length, 0 while empty.  The rows that
+lead no pivot are the free rows; each gives one null vector by
+back-substitution over the pivots above it, walked in lead order.  A
+Gauss-Jordan pass keyed by the top row index makes the basis
+canonical, independent of the engine and its row order.
 
 The row order and the 2-core peel (:func:`_degree_labels`,
 :func:`_peel`) read the entry list alone, so they are stated here once;
@@ -34,6 +32,8 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass, field
+from itertools import chain, compress
+from operator import not_
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -81,12 +81,15 @@ def _pack(cols: np.ndarray, shifts: np.ndarray, vals: np.ndarray | None = None) 
     object-dtype shift and one ``bitwise_or.reduceat`` per PACK_BLOCK
     columns, so the object array never spans the whole matrix."""
     bounds = _run_bounds(cols)
-    for b in range(0, bounds.size - 1, PACK_BLOCK):
+
+    def block(b: int) -> list[int]:
         starts = bounds[b:b + PACK_BLOCK + 1]
         span = slice(starts[0], starts[-1])
         bits = np.left_shift(1 if vals is None else vals[span].astype(object),
                              shifts[span].astype(object))
-        yield from np.bitwise_or.reduceat(bits, starts[:-1] - starts[0]).tolist()
+        return np.bitwise_or.reduceat(bits, starts[:-1] - starts[0]).tolist()
+
+    return chain.from_iterable(map(block, range(0, bounds.size - 1, PACK_BLOCK)))
 
 
 def _entry_keys(n_rows: int, n_cols: int, rows, cols) -> np.ndarray:
@@ -97,10 +100,10 @@ def _entry_keys(n_rows: int, n_cols: int, rows, cols) -> np.ndarray:
         raise ValueError("dimension-zero matrix rejected")
     if n_rows * n_cols >= 2**63:
         raise ValueError(f"{n_rows} x {n_cols} matrix is too large to index")
-    rows, cols = np.broadcast_arrays(np.asarray(rows, dtype=np.int64),
-                                     np.asarray(cols, dtype=np.int64))
-    if rows.size and (min(rows.min(), cols.min()) < 0
-                      or rows.max() >= n_rows or cols.max() >= n_cols):
+    rows, cols = np.asarray(rows, dtype=np.int64), np.asarray(cols, dtype=np.int64)
+    # every given index is an entry unless the broadcast is empty
+    if np.broadcast(rows, cols).size and (min(rows.min(), cols.min()) < 0
+                                          or rows.max() >= n_rows or cols.max() >= n_cols):
         raise ValueError("entry index out of range")
     return (cols * n_rows + rows).ravel()
 
@@ -120,8 +123,8 @@ class BitMatrix:
         """Set entry (rows[k], cols[k]) for every k; repeated entries XOR-cancel.
         rows and cols are index arrays of any shapes that broadcast together."""
         keys = np.sort(_entry_keys(n_rows, n_cols, rows, cols))
-        bounds = _run_bounds(keys)
-        if bounds.size <= keys.size:  # a key repeats: keep those given an odd number of times
+        if (keys[1:] == keys[:-1]).any():  # keep the keys given an odd number of times
+            bounds = _run_bounds(keys)
             keys = keys[bounds[:-1][np.diff(bounds) % 2 == 1]]
         cols, rows = np.divmod(keys, n_rows)
         self.n_rows, self.n_cols, self._entries = n_rows, n_cols, (rows, cols)
@@ -228,39 +231,38 @@ def _peel(rows: np.ndarray, cols: np.ndarray, n_rows: int) -> np.ndarray:
     return np.array(out, dtype=np.intp)
 
 
-def _reduce(rows: Iterable[int], pivots: list[int]) -> Iterator[int]:
-    """Reduce each row against `pivots`, a list indexed by leading bit,
-    0 where none leads; a row that does not reduce to zero becomes the
-    pivot at its lead.  Yields the reduced rows, in order, as they are
-    reduced, so a caller may stop early and read the pivots so far."""
+def _reduce(rows: Iterable[int], pivots: list[int]) -> int:
+    """Reduce each row against `pivots`, slots indexed by bit length (slot
+    0 unused), 0 while empty; a row that does not reduce to zero becomes
+    the pivot in its slot.  Returns the number of new pivots.  Stops
+    drawing rows once it has added len(pivots) - 1, which fills every
+    slot (so only from an empty list): any further row reduces to zero."""
+    added, room = 0, len(pivots) - 1
     for v in rows:
-        while v:
-            lead = v.bit_length() - 1
-            hit = pivots[lead]
-            if not hit:
-                pivots[lead] = v
-                break
+        b = v.bit_length()
+        while hit := pivots[b]:  # a zero row stops at the unused slot 0
             v ^= hit
-        yield v
-
-
-def _column_pivots(m: BitMatrix, label: np.ndarray) -> tuple[list[int], int]:
-    """Eliminate the columns of m with row i on bit label[i].  Returns the
-    pivot list, of length n_rows, as :func:`_reduce` fills it, and the rank."""
-    nr = m.n_rows
-    rows, cols = m.nonzero()
-    pivots, rank = [0] * nr, 0
-    for v in _reduce(_pack(cols, label[rows]), pivots):
-        if v:
-            rank += 1
-            if rank == nr:  # full rank: the other columns are in the span
+            b = v.bit_length()
+        if b:
+            pivots[b] = v
+            added += 1
+            if added == room:
                 break
-    return pivots, rank
+    return added
+
+
+def _column_pivots(m: BitMatrix) -> tuple[list[int], int, np.ndarray]:
+    """Eliminate the columns of m with row i on bit label[i], the degree
+    labels.  Returns the n_rows + 1 pivot slots as :func:`_reduce` fills
+    them, the rank and the labels."""
+    rows, cols = m.nonzero()
+    label, pivots = _degree_labels(rows, m.n_rows), [0] * (m.n_rows + 1)
+    return pivots, _reduce(_pack(cols, label[rows]), pivots), label
 
 
 def gf2_rank(m: BitMatrix) -> int:
     """Row rank over GF(2): the number of pivot columns."""
-    return _column_pivots(m, _degree_labels(m.nonzero()[0], m.n_rows))[1]
+    return _column_pivots(m)[1]
 
 
 def gf2_rank_nullspace(m: BitMatrix) -> tuple[int, tuple[int, ...]]:
@@ -270,12 +272,13 @@ def gf2_rank_nullspace(m: BitMatrix) -> tuple[int, tuple[int, ...]]:
     Column form: the rows are relabelled by degree, descending (stable),
     so the lowest-degree rows hold the highest labels; each column is
     one Python int over those labels, built from the entries, and
-    ``_column_pivots`` eliminates the columns, as for :func:`gf2_rank`.
-    Rank is the number of nonzero reduced columns.  A label j that leads
-    no pivot is free; its null vector x has bit j, no other free bit,
-    and, for each pivot lead p > j in ascending order, bit p equal to
-    the parity of x & pivot_p.  The vectors are mapped back to the original rows and
-    put in reduced echelon form keyed by the top row index.
+    ``_column_pivots`` eliminates the columns into slots indexed by bit
+    length, as for :func:`gf2_rank`.  Rank is the number of pivots.  A
+    label j whose slot j + 1 is empty is free; its null vector x has
+    bit j, no other free bit, and, for each pivot lead p > j in
+    ascending order, bit p equal to the parity of x & pivot_p.  The
+    vectors are mapped back to the original rows and put in reduced
+    echelon form keyed by the top row index.
 
     That form does not depend on the engine: with D the set of rows i
     that lie in the span of the rows below i, the basis vector for i in
@@ -287,18 +290,17 @@ def gf2_rank_nullspace(m: BitMatrix) -> tuple[int, tuple[int, ...]]:
     dependencies of m.
     """
     nr = m.n_rows
-    label = _degree_labels(m.nonzero()[0], nr)
-    pivots, rank = _column_pivots(m, label)
+    pivots, rank, label = _column_pivots(m)
     if rank == nr:
         return nr, ()
-    runs = [(p, v) for p, v in enumerate(pivots) if v]  # ascending leads
-    leads = [p for p, _ in runs]
+    slots = pivots[1:]  # slot j + 1 holds the pivot led by label j
+    leads = list(compress(range(nr), slots))  # ascending
+    values = list(filter(None, slots))
     vectors = []
-    for j, pivot in enumerate(pivots):
-        if pivot:
-            continue
+    for j in compress(range(nr), map(not_, slots)):
         x = 1 << j
-        for p, v in runs[bisect_right(leads, j):]:
+        start = bisect_right(leads, j)
+        for p, v in zip(leads[start:], values[start:]):
             if (x & v).bit_count() & 1:
                 x |= 1 << p
         vectors.append(_relabel(x, label, nr))
@@ -316,18 +318,17 @@ def _canonical(vectors: list[int], n: int) -> tuple[int, ...]:
     """Reduced echelon form keyed by top bit, in ascending order, of a
     list of independent vectors below bit n: each vector keeps its own
     top bit and no other vector's."""
-    out, tops = [0] * n, 0  # out is indexed by top bit, as _reduce leaves it
-    for _ in _reduce(vectors, out):
-        pass
+    out, tops = [0] * (n + 1), 0  # out is indexed by bit length, as _reduce leaves it
+    _reduce(vectors, out)
     # Ascending tops: each earlier vector is final and holds no other
     # earlier top, so one read of v & tops finds every XOR v needs.
-    for top, v in enumerate(out):
-        if v:
-            for t in bit_indices(v & tops):
-                v ^= out[t]
-            out[top] = v
-            tops |= 1 << top
-    return tuple(v for v in out if v)
+    for b in compress(range(n + 1), out):
+        v = out[b]
+        for t in bit_indices(v & tops):
+            v ^= out[t + 1]
+        out[b] = v
+        tops |= 1 << b - 1
+    return tuple(filter(None, out))
 
 
 def _pair_components(n: int, rows: np.ndarray, cols: np.ndarray) -> int:

@@ -26,6 +26,7 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass, field
+from heapq import heappop, heappush
 from typing import Iterable
 
 import numpy as np
@@ -270,10 +271,10 @@ def gfp_rank_nullspace(m: PrimeFieldMatrix) -> tuple[int, list[np.ndarray]]:
     column in reverse peel order, the leaf's coefficient is minus the
     column's other terms divided by the leaf's value, which makes x
     orthogonal to that column; the column's other rows are all set by
-    then.  Both sums run over the smaller of x's support and the pivot
-    or column.  The vectors are mapped back to the original rows and put
-    in reduced echelon form keyed by the top row index, monic at the
-    top.
+    then, and a column that meets no label set in x is skipped.  Both
+    sums run over the smaller of x's support and the pivot or column.
+    The vectors are mapped back to the original rows and put in reduced
+    echelon form keyed by the top row index, monic at the top.
 
     That form does not depend on the engine: with D the set of rows i
     that lie in the span of the rows below i, the basis vector for i in
@@ -309,10 +310,12 @@ def gfp_rank_nullspace(m: PrimeFieldMatrix) -> tuple[int, list[np.ndarray]]:
     labs, values = label[rows].tolist(), vals.tolist()
     lo = np.searchsorted(cols, cols[leaves]).tolist()
     hi = np.searchsorted(cols, cols[leaves], "right").tolist()
-    peeled = []
+    peeled, meets = [], {}  # meets: label -> positions of the runs holding it
     for k, a, b in reversed(list(zip(leaves.tolist(), lo, hi))):
         run = dict(zip(labs[a:b], values[a:b]))
         del run[labs[k]]
+        for l in run:
+            meets.setdefault(l, []).append(len(peeled))
         peeled.append((labs[k], p - pow(values[k], -1, p), run))
     row_of = np.argsort(label).tolist()  # the inverse permutation of label
     vectors = []
@@ -323,10 +326,18 @@ def gfp_rank_nullspace(m: PrimeFieldMatrix) -> tuple[int, list[np.ndarray]]:
             xq = -_dot(x, run) % p  # x holds labels below q alone
             if xq:
                 x[q] = xq
-        for leaf, minus_inverse, run in peeled:
+        # ascending, as a run holds no leaf of a later column
+        heap = sorted(i for l in x for i in meets.get(l, ()))
+        while heap:
+            i = heappop(heap)
+            while heap and heap[0] == i:  # reached through another label
+                heappop(heap)
+            leaf, minus_inverse, run = peeled[i]
             xl = _dot(x, run) * minus_inverse % p
             if xl:
                 x[leaf] = xl
+                for i in meets.get(leaf, ()):
+                    heappush(heap, i)
         vectors.append(sum(v << (row_of[l] * w) for l, v in x.items()))  # on the original rows
     return rank, [lanes.unpack(v) for v in _canonical(vectors, lanes)]
 

@@ -226,16 +226,23 @@ def test_full_rank_stops_drawing_columns(count_packed):
 
 
 def test_reduce_fills_the_list_at_the_leads():
-    pivots = [0] * 6
+    # slot b holds the pivot of bit length b, so its lead is bit b - 1
+    pivots = [0] * 7
     rows = [0b1011, 0b0110, 0b1101, 0b1110, 0b0001]
-    # 0b1101 = 0b1011 ^ 0b0110 is dependent; 0b1110 reduces to 0b0011
-    assert list(_reduce(rows, pivots)) == [0b1011, 0b0110, 0, 0b0011, 0b0001]
-    assert pivots == [0b0001, 0b0011, 0b0110, 0b1011, 0, 0]
-    assert all(v.bit_length() - 1 == lead for lead, v in enumerate(pivots) if v)
+    # 0b1101 = 0b1011 ^ 0b0110 is dependent and adds no pivot;
+    # 0b1110 reduces to 0b0011
+    assert _reduce(rows, pivots) == 4
+    assert pivots == [0, 0b0001, 0b0011, 0b0110, 0b1011, 0, 0]
+    assert all(v.bit_length() == b for b, v in enumerate(pivots) if v)
     # a later call reduces against the pivots already in the list
-    assert list(_reduce([0b100111], pivots)) == [0b100111]
-    assert list(_reduce([0b100111 ^ 0b1011], pivots)) == [0]
-    assert pivots[5] == 0b100111
+    assert _reduce([0b100111], pivots) == 1
+    assert _reduce([0b100111 ^ 0b1011], pivots) == 0
+    assert pivots[6] == 0b100111
+    # a call that fills every slot draws no further row
+    pivots, rows = [0] * 4, iter([0b101, 0b100, 0b111, 0b010, 0b001])
+    assert _reduce(rows, pivots) == 3
+    assert pivots == [0, 0b001, 0b010, 0b101]
+    assert list(rows) == [0b010, 0b001]
 
 
 def test_back_substitution_walks_only_the_pivots_above():
@@ -374,9 +381,14 @@ def test_from_columns_xor_cancellation():
     assert (BitMatrix(4, 2, r, np.arange(2)[:, None])
             == BitMatrix.from_columns(4, [[0, 1, 1], [2, 3, 0]]))
     # out-of-range indices are refused, not wrapped or left as stray bits
-    for rows, cols in (([0], [-1]), ([0], [3]), ([0], [64]), ([-1], [0]), ([4], [0])):
+    for rows, cols in (([0], [-1]), ([0], [3]), ([0], [64]), ([-1], [0]), ([4], [0]),
+                       # broadcast: a row out of range in a (k, 3) array with
+                       # (k, 1) columns, and a column out of range in the (k, 1) array
+                       ([[0, 1, 2], [3, 4, 0]], [[0], [1]]), ([[0, 1, 2], [3, 1, 0]], [[0], [3]])):
         with pytest.raises(ValueError, match="out of range"):
             BitMatrix(4, 3, rows, cols)
+    with pytest.raises(ValueError, match="broadcast"):  # shapes that do not broadcast
+        BitMatrix(4, 3, [[0, 1, 2], [3, 1, 0]], [0, 1])
     with pytest.raises(ValueError, match="out of range"):
         BitMatrix.from_columns(4, [[0], [-1]])
 

@@ -20,8 +20,6 @@ from dataclasses import dataclass, field
 from functools import partial
 from typing import Callable, Iterable, NamedTuple, Sequence
 
-import mpmath
-
 from .analyzer import GuardExceeded, analyze_matrix
 from .gf2 import BitMatrix, gf2_rank
 from .gfp import PrimeFieldMatrix, gfp_rank
@@ -229,8 +227,25 @@ class FitReport:
 
 
 def chi2_sf(stat: float, dof: int) -> float:
-    """Chi-square upper tail: the regularized upper incomplete gamma Q(dof/2, stat/2)."""
-    return float(mpmath.gammainc(dof / 2, stat / 2, mpmath.inf, regularized=True))
+    """Chi-square upper tail: the regularized upper incomplete gamma Q(dof/2, stat/2).
+
+    dof/2 is an integer or a half-integer, so with y = stat/2 the tail is a
+    finite sum: start from Q(1, y) = e^-y (even dof) or Q(1/2, y) = erfc(sqrt y)
+    (odd dof), then step Q(a+1, y) = Q(a, y) + y^a e^-y / Gamma(a+1).  Every
+    term is positive.  compare_to_theory produces dof <= 13.
+    """
+    if dof < 1:
+        raise ValueError(f"dof must be >= 1, got {dof}")
+    y = stat / 2
+    if dof % 2:
+        a, total, term = 0.5, math.erfc(math.sqrt(y)), 2 * math.sqrt(y / math.pi) * math.exp(-y)
+    else:
+        a, total, term = 1.0, math.exp(-y), y * math.exp(-y)
+    while a < dof / 2:   # term = y^a e^-y / Gamma(a+1)
+        total += term
+        a += 1
+        term *= y / a
+    return total
 
 
 def compare_to_theory(summary: CampaignSummary, table: TheoryTable) -> FitReport:

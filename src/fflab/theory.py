@@ -1,8 +1,8 @@
 """Exact evaluation of the limiting quantities for the incidence models.
 
 All series and infinite products are truncated by explicit term-size
-bounds, never by fixed iteration counts.  Internals run in mpmath
-extended precision (the published 4-digit constants demand comfortably
+bounds, never by fixed iteration counts.  Internals run in 50-digit
+`decimal` arithmetic (the published 4-digit constants demand comfortably
 more than float headroom once products of many near-unit factors are
 involved); public functions return plain floats or exact ints/Fractions.
 
@@ -22,12 +22,12 @@ Quantities:
 """
 from __future__ import annotations
 
+import decimal
 import functools
 import math
 from dataclasses import dataclass
+from decimal import Decimal
 from fractions import Fraction
-
-from mpmath import mp, mpf
 
 WITH = "with"
 WITHOUT = "without"
@@ -35,6 +35,7 @@ REPLACEMENTS = (WITH, WITHOUT)  # the replacement modes, here and in models
 
 _PRODUCT_TRUNC = 1e-15   # drop product factors within this of unity
 _MAX_TERMS = 100_000
+_EXACT = decimal.Context(prec=50)   # the working precision of every internal sum
 
 
 def _check_model(model: str) -> None:
@@ -62,15 +63,15 @@ def sigma_kappa(s: int, model: str = WITH) -> tuple[Fraction, Fraction]:
     return sig, Fraction(math.factorial(s - 1), (s - 1) ** s) * sig
 
 
-def _phi_series(base: "mpf", start: int, inner_gap: int, tol: float) -> tuple["mpf", int]:
+def _phi_series(base: Decimal, start: int, inner_gap: int, tol: float) -> tuple[Decimal, int]:
     """sum_{l>=start} base^l / l * sum_{j=0}^{l-inner_gap} l^j / j!"""
-    cutoff = mpf(tol) * mpf("1e-2")
-    total = mpf(0)
+    cutoff = Decimal(tol) * Decimal("1e-2")
+    total = Decimal(0)
     terms = 0
     l = start
     while l < _MAX_TERMS:
-        inner = mpf(0)
-        pw = mpf(1)
+        inner = Decimal(0)
+        pw = Decimal(1)
         for j in range(0, l - inner_gap + 1):
             if j > 0:
                 pw = pw * l / j
@@ -84,14 +85,15 @@ def _phi_series(base: "mpf", start: int, inner_gap: int, tol: float) -> tuple["m
     return total, terms
 
 
-def _phi_mp(model: str, tol: float, gamma: float = 1.0) -> tuple["mpf", int]:
+def _phi_mp(model: str, tol: float, gamma: float = 1.0) -> tuple[Decimal, int]:
     """phi for `model` (scaled by the GF(t) cancellation weight gamma) and
-    the series length used; callers hold mp.workdps(50)."""
+    the series length used."""
     _check_model(model)
     if not 0 < tol < 1:  # nan fails this too
         raise ValueError(f"tol must be positive and below 1, got {tol}")
     start, gap = (1, 1) if model == WITH else (2, 2)
-    return _phi_series(2 * mpf(gamma) * mp.exp(-2), start, gap, tol)
+    with decimal.localcontext(_EXACT):
+        return _phi_series(2 * Decimal(gamma) * Decimal(-2).exp(), start, gap, tol)
 
 
 def phi(model: str = WITH, tol: float = 1e-9) -> float:
@@ -101,16 +103,14 @@ def phi(model: str = WITH, tol: float = 1e-9) -> float:
     single-row and fixed-point terms drop and it starts at pairs.
     Numerically ~0.5215 (with) and ~0.1151 (without).
     """
-    with mp.workdps(50):
-        return float(_phi_mp(model, tol)[0])
+    return float(_phi_mp(model, tol)[0])
 
 
 def phi_t(gamma: float, tol: float = 1e-9) -> float:
     """GF(t) small-dependency rate for cancellation weight gamma in (0, 1]."""
     if not 0 < gamma <= 1:
         raise ValueError("gamma must lie in (0, 1]")
-    with mp.workdps(50):
-        return float(_phi_mp(WITHOUT, tol, gamma)[0])
+    return float(_phi_mp(WITHOUT, tol, gamma)[0])
 
 
 def _pi_product_length() -> int:
@@ -120,33 +120,31 @@ def _pi_product_length() -> int:
     return jmax
 
 
-# _pi_mp and _p_star_mp are memoized; every caller holds mp.workdps(50), so
-# no cached value was computed at a lower precision.
 @functools.cache
-def _pi_mp(k: int) -> "mpf":
+def _pi_mp(k: int) -> Decimal:
     jmax = _pi_product_length()
 
-    def prod(j0: int, j1: int) -> "mpf":
-        out = mpf(1)
+    def prod(j0: int, j1: int) -> Decimal:
+        out = Decimal(1)
         for j in range(j0, j1 + 1):
-            out *= 1 - mpf(2) ** -j
+            out *= 1 - Decimal(2) ** -j
         return out
 
-    return prod(k + 1, jmax) / prod(1, k) * mpf(2) ** (-k * k)
+    with decimal.localcontext(_EXACT):
+        return prod(k + 1, jmax) / prod(1, k) * Decimal(2) ** (-k * k)
 
 
 def pi_k(k: int) -> float:
     """Limiting probability that the large part spans dimension k."""
     if k < 0:
         raise ValueError("k must be >= 0")
-    with mp.workdps(50):
-        return float(_pi_mp(k))
+    return float(_pi_mp(k))
 
 
 def gaussian_binomial(m: int, r: int, q: int) -> int:
     """Exact q-binomial: the number of r-dim subspaces of GF(q)^m."""
-    if r < 0 or r > m:
-        raise ValueError("need 0 <= r <= m")
+    if q < 2 or r < 0 or r > m:
+        raise ValueError(f"need q >= 2 and 0 <= r <= m, got q={q}, r={r}, m={m}")
     num = 1
     den = 1
     for i in range(1, r + 1):
@@ -157,37 +155,39 @@ def gaussian_binomial(m: int, r: int, q: int) -> int:
 
 
 @functools.cache
-def _p_star_mp(h: int, r: int, m: int) -> "mpf":
+def _p_star_mp(h: int, r: int, m: int) -> Fraction:
     if h < 0 or r < 0 or r > m:
         raise ValueError("need h >= 0 and 0 <= r <= m")
-    v = mpf(gaussian_binomial(m, r, 2)) * mpf(2) ** (-(h + r) * (m - r))
+    v = Fraction(gaussian_binomial(m, r, 2), 2 ** ((h + r) * (m - r)))
     for j in range(h + 1, h + r + 1):
-        v *= 1 - mpf(2) ** (-j)
+        v *= 1 - Fraction(1, 2 ** j)
     return v
 
 
 def p_star(h: int, r: int, m: int) -> float:
     """Survival probability P*(h, h+r; m): of h+r large dependencies, h
     persist after m small ones are added back.  Empty products are 1."""
-    with mp.workdps(50):
-        return float(_p_star_mp(h, r, m))
+    return float(_p_star_mp(h, r, m))
 
 
-def _p_joint_mp(sigma: int, lam: int, phi_value: "mpf") -> "mpf":
-    s = mpf(0)
+def _p_joint_mp(sigma: int, lam: int, phi_value: Decimal) -> Decimal:
+    s = Decimal(0)
     for r in range(0, sigma + 1):
-        s += _pi_mp(lam + r) * _p_star_mp(lam, r, sigma)
-    return phi_value ** sigma / math.factorial(sigma) * mp.exp(-phi_value) * s
+        ps = _p_star_mp(lam, r, sigma)
+        s += _pi_mp(lam + r) * ps.numerator / ps.denominator
+    weight = phi_value ** sigma if sigma else Decimal(1)   # Decimal refuses 0 ** 0
+    return weight / math.factorial(sigma) * (-phi_value).exp() * s
 
 
 def p_joint(sigma: int, lam: int, phi_value: float) -> float:
     """Limiting joint probability of sigma small fundamentals and a
     lambda-dimensional large part, mixing Poisson(phi) with pi through
     the survival factors."""
-    if sigma < 0 or lam < 0:
-        raise ValueError("sigma and lambda must be >= 0")
-    with mp.workdps(50):
-        return float(_p_joint_mp(sigma, lam, mpf(phi_value)))
+    if sigma < 0 or lam < 0 or not 0 <= phi_value < math.inf:  # nan fails the last
+        raise ValueError(f"need sigma, lambda >= 0 and a finite phi >= 0, got "
+                         f"sigma={sigma}, lambda={lam}, phi={phi_value}")
+    with decimal.localcontext(_EXACT):
+        return float(_p_joint_mp(sigma, lam, Decimal(phi_value)))
 
 
 def expected_num_deps(n: int, ell: int, model: str = WITH) -> float:
@@ -285,13 +285,13 @@ def verify_q_system(k_max: int) -> float:
     if not 0 <= k_max <= 8:
         raise ValueError(f"k_max must lie in 0..8, got {k_max}")
     worst = 0.0
-    with mp.workdps(50):
+    with decimal.localcontext(_EXACT):
         for k in range(k_max + 1):
-            total = mpf(0)
+            total = Decimal(0)
             for lam in range(k, k + 61):
-                prod = mpf(1)
+                prod = Decimal(1)
                 for i in range(k):
-                    prod *= mpf(2) ** lam - mpf(2) ** i
+                    prod *= Decimal(2) ** lam - Decimal(2) ** i
                 total += _pi_mp(lam) * prod
             worst = max(worst, abs(float(total - 1)))
     return worst
@@ -351,7 +351,7 @@ class TheoryTable:
 
 def build_table(model: str = WITHOUT, tol: float = 1e-9) -> TheoryTable:
     """Assemble the full theory table on the 0..12 grid; normalisation is checked here."""
-    with mp.workdps(50):
+    with decimal.localcontext(_EXACT):
         ph, terms = _phi_mp(model, tol)
         pi_vals = tuple(float(_pi_mp(k)) for k in range(13))
         pstar = {(k - r, r, m): float(_p_star_mp(k - r, r, m))

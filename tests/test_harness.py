@@ -193,10 +193,24 @@ class TestCompare:
                 if want > 1e-300:
                     assert chi2_sf(stat, dof) == pytest.approx(want, rel=1e-12), (stat, dof)
 
+    # tabulated critical values, independent of both closed forms
     @pytest.mark.parametrize("stat,dof", [(3.841459, 1), (5.991465, 2),
-                                          (18.307038, 10)])
+                                          (18.307038, 10), (7.814728, 3),
+                                          (11.070498, 5), (22.362032, 13),
+                                          (31.410433, 20), (55.758479, 40)])
     def test_chi2_sf_five_percent_critical_values(self, stat, dof):
         assert chi2_sf(stat, dof) == pytest.approx(0.05, abs=1e-6)
+
+    @pytest.mark.parametrize("stat,dof", [(6.634897, 1), (9.210340, 2),
+                                          (15.086272, 5), (23.209251, 10),
+                                          (27.688250, 13)])
+    def test_chi2_sf_one_percent_critical_values(self, stat, dof):
+        assert chi2_sf(stat, dof) == pytest.approx(0.01, abs=1e-7)
+
+    @pytest.mark.parametrize("dof", [0, -1])
+    def test_chi2_sf_refuses_dof_below_one(self, dof):
+        with pytest.raises(ValueError, match="dof"):
+            chi2_sf(1.0, dof)
 
     def test_headline_checks_shape(self):
         _, summary = small_campaign(trials=500, n=200, seed=3)

@@ -145,6 +145,9 @@ class TestGaussianBinomial:
             theory.gaussian_binomial(3, 4, 2)
         with pytest.raises(ValueError):
             theory.gaussian_binomial(3, -1, 2)
+        for q in (1, 0, -1):
+            with pytest.raises(ValueError, match="q >= 2"):
+                theory.gaussian_binomial(3, 1, q)
 
 
 class TestPStar:
@@ -203,6 +206,15 @@ class TestJointAndCorank:
             marginal = sum(theory.p_joint(s, l, ph) for l in range(14))
             poisson = math.exp(-ph) * ph ** s / math.factorial(s)
             assert marginal == pytest.approx(poisson, abs=1e-10)
+
+    def test_domain(self):
+        for sigma, lam in ((-1, 0), (0, -1)):
+            with pytest.raises(ValueError, match="sigma, lambda"):
+                theory.p_joint(sigma, lam, 0.1)
+        for bad in (-0.5, -1e-300, math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError, match="phi"):
+                theory.p_joint(1, 0, bad)
+        assert theory.p_joint(0, 0, 0.0) == theory.pi_k(0)
 
 
 class TestQSystem:

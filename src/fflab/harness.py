@@ -237,6 +237,8 @@ def chi2_sf(stat: float, dof: int) -> float:
     if dof < 1:
         raise ValueError(f"dof must be >= 1, got {dof}")
     y = stat / 2
+    if y == math.inf:   # the terms below would be inf * 0
+        return 0.0
     if dof % 2:
         a, total, term = 0.5, math.erfc(math.sqrt(y)), 2 * math.sqrt(y / math.pi) * math.exp(-y)
     else:

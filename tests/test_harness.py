@@ -192,6 +192,7 @@ class TestCompare:
                 want = chi2_sf_closed_form(stat, dof)
                 if want > 1e-300:
                     assert chi2_sf(stat, dof) == pytest.approx(want, rel=1e-12), (stat, dof)
+            assert chi2_sf(math.inf, dof) == 0.0
 
     # tabulated critical values, independent of both closed forms
     @pytest.mark.parametrize("stat,dof", [(3.841459, 1), (5.991465, 2),

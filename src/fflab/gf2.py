@@ -92,6 +92,23 @@ def _pack(cols: np.ndarray, shifts: np.ndarray, vals: np.ndarray | None = None) 
     return chain.from_iterable(map(block, range(0, bounds.size - 1, PACK_BLOCK)))
 
 
+def _dense_residues(dense, p: int) -> np.ndarray:
+    """A 2-d array of integer values read mod p, as int64 residues.
+    Refuses another shape, and a value that is not an integer or does
+    not fit int64."""
+    a = np.asarray(dense)
+    if a.ndim != 2:
+        raise ValueError("expected a 2-d array")
+    try:
+        with np.errstate(invalid="ignore"):  # nan and inf fail the comparison below
+            ints = a.astype(np.int64)
+        if (ints == a).all():
+            return ints % p
+    except (TypeError, ValueError, OverflowError):  # strings, objects beyond int64
+        pass
+    raise ValueError("entries must be integers that fit int64")
+
+
 def _entry_keys(n_rows: int, n_cols: int, rows, cols) -> np.ndarray:
     """Flat column-major keys cols * n_rows + rows of entry index arrays
     that broadcast together.  Refuses a dimension-zero matrix, one too
@@ -136,9 +153,8 @@ class BitMatrix:
 
     @classmethod
     def from_dense(cls, dense: np.ndarray) -> "BitMatrix":
-        a = np.asarray(dense)
-        if a.ndim != 2:
-            raise ValueError("expected a 2-d array")
+        """The matrix of a 2-d array of integers, read mod 2."""
+        a = _dense_residues(dense, 2)
         return cls(*a.shape, *np.nonzero(a))
 
     @classmethod

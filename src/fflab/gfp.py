@@ -31,7 +31,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .gf2 import _degree_labels, _entry_keys, _pack, _peel
+from .gf2 import _degree_labels, _dense_residues, _entry_keys, _pack, _peel
 
 # Deterministic Miller-Rabin: the smallest composite that is a strong
 # pseudoprime to every prime base up to 37 is this bound, 3.2e23
@@ -120,11 +120,9 @@ class PrimeFieldMatrix:
 
     @classmethod
     def from_dense(cls, dense: np.ndarray, p: int) -> "PrimeFieldMatrix":
+        """The matrix of a 2-d array of integers, read mod p."""
         check_modulus(p)
-        a = np.asarray(dense, dtype=np.int64)
-        if a.ndim != 2:
-            raise ValueError("expected a 2-d array")
-        a = a % p
+        a = _dense_residues(dense, p)
         rows, cols = np.nonzero(a)
         return cls(p, *a.shape, rows, cols, a[rows, cols])
 

@@ -15,6 +15,7 @@ from __future__ import annotations
 import json
 import math
 import multiprocessing
+import os
 import time
 from dataclasses import dataclass, field
 from functools import partial
@@ -167,9 +168,12 @@ def summarize(records: Sequence[TrialRecord], master_seed: int) -> CampaignSumma
 
 def _pool_map(fn, items: Iterable, workers: int):
     """[fn(x) for x in items], in item order, on `workers` forked processes,
-    at most one per item; a single worker or item runs in this process."""
+    at most one per item and one per CPU this process may run on; a
+    single worker, item or CPU runs in this process."""
     items = list(items)
-    workers = min(workers, len(items))
+    cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+            else os.cpu_count() or 1)
+    workers = min(workers, len(items), cpus)
     if workers <= 1:
         return [fn(x) for x in items]
     ctx = multiprocessing.get_context("fork")

@@ -11,8 +11,9 @@ Quantities:
 * sigma_s / kappa_s: connectivity constants of random functional
   digraphs, exact rationals.
 * phi: Poisson rate of small fundamental dependencies, one variant per
-  replacement mode; phi_t generalises to entry distributions over GF(t)
-  through the cancellation weight gamma.
+  replacement mode; phi_t scales the without-replacement rate by a
+  GF(t) cancellation weight gamma.  No GF(t) co-rank law is given here:
+  Poisson(phi_t) misses the sampled GF(p) models by far.
 * pi(k): the limiting law of the large-part dimension.
 * P*(h, r; m): survival probability that h of h+r large dependencies
   persist in the presence of m small ones.
@@ -107,7 +108,13 @@ def phi(model: str = WITH, tol: float = 1e-9) -> float:
 
 
 def phi_t(gamma: float, tol: float = 1e-9) -> float:
-    """GF(t) small-dependency rate for cancellation weight gamma in (0, 1]."""
+    """GF(t) small-dependency rate for cancellation weight gamma in (0, 1].
+
+    For a GF(p) model whose nonzero values are drawn with Pr(residue i)
+    = f(i), gamma = f(p-1) for Models 1 and 2 and
+    gamma = sum_i f(i) f(p-i) for Model 3.  Model 1 puts all mass on
+    residue 1, so at p > 2 it gives gamma = 0, which is refused.
+    """
     if not 0 < gamma <= 1:
         raise ValueError("gamma must lie in (0, 1]")
     return float(_phi_mp(WITHOUT, tol, gamma)[0])
@@ -213,70 +220,6 @@ def expected_num_deps(n: int, ell: int, model: str = WITH) -> float:
     ln_dep = ell * (math.log(2) + math.log(ell - 1) + math.log(n - ell) - math.log(den))
     ln_out = (n - ell) * (math.log(inner) - math.log(den))
     return math.exp(ln_c + ln_dep + ln_out)
-
-
-def expected_num_deps_gft(n: int, ell: int, gamma: float, alpha: float,
-                          beta: float) -> float:
-    """Field-parameterised E X_ell over GF(t) (without replacement limit
-    shape): per-column cancellation weight gamma, three-way zero-sum
-    weight alpha, outside-column pair weight beta."""
-    if not 1 <= ell <= n:
-        raise ValueError("need 1 <= ell <= n")
-    x = ell / n
-    dep = 2 * gamma * x * (1 - x) + alpha * x * x
-    out = beta * x * x + (1 - x) * (1 - x)
-    if dep <= 0 or out <= 0:
-        return 0.0
-    ln_c = math.lgamma(n + 1) - math.lgamma(ell + 1) - math.lgamma(n - ell + 1)
-    return math.exp(ln_c + ell * math.log(dep) + (n - ell) * math.log(out))
-
-
-def gft_params(gft_model: int, p: int, f: "list[float] | None" = None
-               ) -> tuple[float, float, float]:
-    """(gamma, alpha, beta) for a GF(p) model; f gives Pr(residue 1..p-1).
-
-    Model 1 is Model 2 with all mass on residue 1, so it takes no f.
-    """
-    if p < 2:
-        raise ValueError("p must be >= 2")
-    if gft_model == 1 and f is not None:
-        raise ValueError("f applies only to Models 2 and 3")
-    if f is None:
-        f = [1.0] + [0.0] * (p - 2) if gft_model == 1 else [1.0 / (p - 1)] * (p - 1)
-    if len(f) != p - 1:
-        raise ValueError("f must give probabilities for residues 1..p-1")
-
-    def fv(i: int) -> float:
-        i %= p
-        return f[i - 1] if i else 0.0
-
-    beta = sum(fv(i) * fv(p - i) for i in range(1, p))
-    if gft_model in (1, 2):
-        gamma = fv(p - 1)
-        alpha = sum(fv(i) * fv(p - 1 - i) for i in range(1, p))
-    elif gft_model == 3:
-        gamma = beta
-        alpha = sum(fv(i) * fv(j) * fv((-i - j) % p)
-                    for i in range(1, p) for j in range(1, p))
-    else:
-        raise ValueError("gft_model must be 1, 2 or 3")
-    return gamma, alpha, beta
-
-
-def gft_corank_distribution(gamma: float, alpha: float, d_max: int,
-                            tol: float = 1e-9) -> list[float]:
-    """Poisson(phi_t) co-rank law for GF(t) Models 2/3.
-
-    Valid only under alpha <= 2 gamma <= 1; outside that hypothesis the
-    calculator refuses rather than extrapolates.
-    """
-    if d_max < 0:
-        raise ValueError("d_max must be >= 0")
-    if not alpha <= 2 * gamma <= 1:
-        raise ValueError(f"outside the validity hypothesis: need alpha <= 2*gamma <= 1, "
-                         f"got alpha={alpha}, gamma={gamma}")
-    ph = phi_t(gamma, tol)
-    return [math.exp(-ph) * ph ** d / math.factorial(d) for d in range(d_max + 1)]
 
 
 def verify_q_system(k_max: int) -> float:

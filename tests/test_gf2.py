@@ -116,6 +116,7 @@ def test_dense_roundtrip(seed, n_rows, n_cols):
     m = BitMatrix.from_dense(dense)
     assert np.array_equal(m.to_dense(), dense)
     assert m == BitMatrix.from_dense(m.to_dense())
+    assert m == BitMatrix.from_dense(dense + 2 * rng.integers(-3, 4, size=dense.shape))
     assert np.array_equal(m.words, packbits_words(dense))
     rows, cols = np.nonzero(dense)
     assert m == BitMatrix(n_rows, n_cols, rows, cols)

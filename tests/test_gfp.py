@@ -11,7 +11,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import fflab.gfp
-from fflab.gf2 import PACK_BLOCK, _pack, _peel
+from fflab.gf2 import PACK_BLOCK, BitMatrix, _pack, _peel
 from fflab.gfp import (
     PrimeFieldMatrix,
     _eliminate,
@@ -49,7 +49,7 @@ def test_lane_quotient_exhaustive_small_primes():
         xs = np.arange(p * p)
         assert all((x * lanes.m) >> lanes.k == x // p for x in xs.tolist())
         # the same reduction on every x at once, one x per lane
-        y, = _pack(np.zeros_like(xs), xs * lanes.w, xs)
+        y = int.from_bytes(xs.astype(lanes.dtype).tobytes(), "little")
         y -= (((y * lanes.m) >> lanes.k) & lanes.qmask) * p
         assert (lanes.unpack(y) == xs % p).all()
 
@@ -63,7 +63,7 @@ def lane_built_columns(n_vectors, index, lane, vals, w):
     return out
 
 
-@pytest.mark.parametrize("p", [3, 5, BIG_P])
+@pytest.mark.parametrize("p", [3, 5, 199, BIG_P])
 def test_pack_with_values_equals_the_entrywise_lane_build(p):
     # more than PACK_BLOCK columns of 3 entries, fed in ascending order
     # of their lowest label, ties by index, as the engine feeds them
@@ -128,9 +128,14 @@ def test_from_dense_checks_before_it_reduces():
         warnings.simplefilter("error")  # no divide-by-zero warning from % 0
         with pytest.raises(ValueError, match="not prime"):
             PrimeFieldMatrix.from_dense(dense, 0)
-    for bad in (np.ones(3), np.ones((2, 2, 2))):
+    for bad in (np.ones(3), np.full(3, 0.5), np.ones((2, 2, 2))):
         with pytest.raises(ValueError, match="2-d"):
             PrimeFieldMatrix.from_dense(bad, 3)
+    # values are read as integers, never truncated or wrapped
+    for bad in ([[0.5, 2.7]], [[np.nan, 1.0]], [[2.0**63, 1.0]], [[2**64, 1]]):
+        for read in (lambda a: PrimeFieldMatrix.from_dense(a, 3), BitMatrix.from_dense):
+            with pytest.raises(ValueError, match="integers"):
+                read(bad)
 
 
 def test_entries_out_of_range_rejected():
@@ -214,7 +219,12 @@ def test_from_entries():
     rows, cols = np.nonzero(dense)
     m = PrimeFieldMatrix(5, 3, 2, rows[::-1], cols[::-1], dense[rows, cols][::-1])
     assert m == PrimeFieldMatrix.from_dense(dense, 5)
+    assert m == PrimeFieldMatrix.from_dense(dense + 5 * np.array([[2, -1], [1, 0], [-3, 7]]), 5)
     assert np.array_equal(m.entries, dense)
+    # both from_dense read mod the field: even values are zero over GF(2)
+    even = np.array([[2, 0], [0, 4]])
+    assert PrimeFieldMatrix.from_dense(even, 2) == PrimeFieldMatrix(2, 2, 2, [], [], [])
+    assert BitMatrix.from_dense(even) == BitMatrix(2, 2, [], [])
     # index and value arrays broadcast; zero values are dropped, and the
     # entries are kept column-major
     m = PrimeFieldMatrix(5, 3, 2, [[0], [2]], [0, 1], [[0, 4], [1, 3]])

@@ -49,10 +49,13 @@ class TestDeterminism:
         rec2, _ = run_campaign(cfg, trials=24, workers=4)
         assert [r.to_json_line() for r in rec1] == [r.to_json_line() for r in rec2]
 
-    def test_pool_forks_no_more_workers_than_items(self):
+    def test_pool_forks_no_more_workers_than_items(self, monkeypatch):
         # one item runs in this process however many workers are asked for
         assert _pool_map(_pid, [0], 4) == [os.getpid()]
         assert _pool_map(abs, [-1, -2], 4) == [1, 2]
+        # and so does every item when this process may run on one CPU
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        assert _pool_map(_pid, [0, 1], 4) == [os.getpid()] * 2
 
     def test_jsonl_roundtrip(self, tmp_path):
         cfg = ModelConfig(n=50, master_seed=2)

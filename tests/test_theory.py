@@ -256,55 +256,6 @@ class TestExpectedDeps:
                                                                        rel=1e-4)
 
 
-class TestGft:
-    def test_model1_gf3_params(self):
-        gamma, alpha, beta = theory.gft_params(1, 3)
-        assert gamma == 0.0
-        assert alpha == 1.0
-        assert beta == 0.0
-
-    def test_model2_uniform_gamma(self):
-        for p in (3, 5, 7):
-            gamma, alpha, beta = theory.gft_params(2, p)
-            assert gamma == pytest.approx(1 / (p - 1))
-            assert alpha <= 2 * gamma <= 1
-
-    def test_model3_uniform_gamma(self):
-        for p in (3, 5, 7):
-            gamma, _, beta = theory.gft_params(3, p)
-            assert gamma == pytest.approx(1 / (p - 1))
-            assert beta == pytest.approx(gamma)
-
-    def test_params_refuse_bad_inputs(self):
-        for p in (1, 0, -3):
-            with pytest.raises(ValueError, match="p must be"):
-                theory.gft_params(2, p)
-        with pytest.raises(ValueError, match="Models 2 and 3"):
-            theory.gft_params(1, 3, [0.2])
-        with pytest.raises(ValueError, match="Models 2 and 3"):
-            theory.gft_params(1, 3, [1.0, 0.0])
-
-    def test_corank_refuses_outside_hypothesis(self):
-        # GF(3) Model 1: alpha=1 > 2*gamma=0 sits outside the validity domain
-        with pytest.raises(ValueError):
-            theory.gft_corank_distribution(0.0, 1.0, 5)
-
-    def test_corank_poisson(self):
-        gamma, alpha, _ = theory.gft_params(2, 5)
-        dist = theory.gft_corank_distribution(gamma, alpha, 20)
-        assert sum(dist) == pytest.approx(1, abs=1e-9)
-        ph = theory.phi_t(gamma)
-        assert dist[0] == pytest.approx(math.exp(-ph))
-
-    def test_gft_expected_deps_degenerate_matches_small_ell_asymptotic(self):
-        # gamma=1, alpha=0, beta=1 is the GF(2) without-replacement shape
-        n = 10**6
-        for ell in range(2, 8):
-            asym = (2 * ell) ** ell * math.exp(-2 * ell) / math.factorial(ell)
-            got = theory.expected_num_deps_gft(n, ell, 1.0, 0.0, 1.0)
-            assert got == pytest.approx(asym, rel=1e-3)
-
-
 class TestTable:
     def test_build_and_invariants(self):
         table = theory.build_table("without")
@@ -338,9 +289,7 @@ class TestTable:
         assert time.perf_counter() - t0 < 1.0
 
     @pytest.mark.parametrize("size, call", [
-        pytest.param("k_max", lambda: theory.verify_q_system(-1), id="q_system-k_max"),
-        pytest.param("d_max", lambda: theory.gft_corank_distribution(0.5, 0.5, -1),
-                     id="gft-d_max")])
+        pytest.param("k_max", lambda: theory.verify_q_system(-1), id="q_system-k_max")])
     def test_negative_sizes_rejected(self, size, call):
         with pytest.raises(ValueError, match=size):
             call()

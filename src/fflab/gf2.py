@@ -16,7 +16,7 @@ descending, so the lowest-degree rows take the highest bits and lead the
 pivots, which keeps fill-in low (a light form of Markowitz ordering, as
 in structured Gaussian elimination).  The column ints are packed
 lazily, PACK_BLOCK columns at a time by NumPy (:func:`_pack`, which
-also packs the GF(p) engine's lane ints), so no per-entry Python loop
+also packs the GF(p) engine's column ints), so no per-entry Python loop
 runs.  One loop, :func:`_reduce`, reduces every GF(2) row list into
 pivot slots indexed by bit length, 0 while empty.  The rows that
 lead no pivot are the free rows; each gives one null vector by

@@ -1,4 +1,4 @@
-"""Exact linear algebra over prime fields GF(p) on packed lanes.
+"""Exact linear algebra over prime fields GF(p) on packed ints.
 
 Same contract as the GF(2) side: row rank plus a basis of the *left*
 null space {x : xM = 0 mod p}.  A :class:`PrimeFieldMatrix` is stored
@@ -14,13 +14,21 @@ goes up by 1.  The core's rows are relabelled by degree, descending, so
 the lowest-degree rows lead the pivots, and the core's columns are fed
 in ascending order of their lowest label.  Each column is one Python int
 over those labels, packed by :func:`fflab.gf2._pack`; the monic pivots
-sit in a list indexed by leading lane, 0 where none leads.  A label is a
-*lane* of w bits instead of a single bit, and the XOR of GF(2) becomes a
-lane-wise multiply-add and a lane-wise reduction mod p (:class:`_Lanes`).
+sit in a list indexed by leading label, 0 where none leads.  Two layouts
+carry the values, chosen by p:
+
+- p = 3: two bit planes of n_rows bits each, one holding the labels
+  whose value is 1 and one those whose value is 2 (the bitslicing of
+  Boothby & Bradshaw 2009).  Adding two vectors takes seven AND, OR and
+  XOR operations and no multiply (:func:`_eliminate_planes`).
+- p >= 5: a label is a *lane* of w bits instead of a single bit, and
+  the XOR of GF(2) becomes a lane-wise multiply-add and a lane-wise
+  reduction mod p (:class:`_Lanes`, :func:`_eliminate`).
+
 The null space comes from back-substitution over the pivots and then
-over the peeled columns, last peeled first; a Gauss-Jordan pass keyed by
-the top row index makes it canonical.  Python ints never overflow, so
-the engine is exact for every prime.
+over the peeled columns, last peeled first; a Gauss-Jordan pass on
+lanes, keyed by the top row index, makes it canonical.  Python ints
+never overflow, so the engine is exact for every prime.
 """
 from __future__ import annotations
 
@@ -217,18 +225,53 @@ def _eliminate(vectors: Iterable[int], lanes: _Lanes) -> tuple[list[int], int]:
     return pivots, rank
 
 
-def _column_pivots(m: PrimeFieldMatrix) -> tuple[list[int], int, _Lanes, np.ndarray, np.ndarray]:
+def _eliminate_planes(vectors: Iterable[int], n: int) -> tuple[list, int]:
+    """GF(3) form of :func:`_eliminate`, on two bit planes of n bits.
+
+    Each vector int holds plane a, the labels whose value is 1, in its
+    low n bits, and plane b, the labels whose value is 2, in the n bits
+    above.  The sum of (a1, b1) and (a2, b2) is
+    ``((b1 | b2) ^ t, (a1 | a2) ^ t)`` with ``t = (a1 | b2) ^ (a2 | b1)``,
+    and swapping the planes negates a vector.  A vector whose lead is 1
+    (in plane a) takes the pivot's negation, one whose lead is 2 the
+    pivot itself.  Stops once the pivots span every label.  Returns the
+    pivots as (a, b) pairs, monic (the lead bit in a), in a list indexed
+    by leading label, 0 where none leads; and the rank."""
+    mask = (1 << n) - 1
+    slots, rank = [0] * (n + 1), 0  # indexed by bit length; slot 0 unused
+    for v in vectors:
+        a, b = v & mask, v >> n
+        while True:
+            la, lb = a.bit_length(), b.bit_length()
+            lead = la if la > lb else lb
+            if not (hit := slots[lead]):  # a zero vector stops at the unused slot 0
+                break
+            if la > lb:
+                hb, ha = hit
+            else:
+                ha, hb = hit
+            t = (a | hb) ^ (ha | b)
+            a, b = (b | hb) ^ t, (a | ha) ^ t
+        if lead:
+            slots[lead] = (a, b) if la > lb else (b, a)
+            rank += 1
+            if rank == n:
+                break
+    return slots[1:], rank
+
+
+def _column_pivots(m: PrimeFieldMatrix) -> tuple[list, int, np.ndarray, np.ndarray]:
     """Peel m to its 2-core (:func:`fflab.gf2._peel`), label the rows by
     their degree in the core (:func:`fflab.gf2._degree_labels`), and
-    eliminate the core's columns with row i on lane label[i], fed in
-    ascending order of their lowest label (a stable sort).  Each peeled
-    column adds 1 to the rank, so the rank is the number of pivots plus
-    the number of leaves.  Returns the pivot list of :func:`_eliminate`,
-    the rank, the lane layout, the labels and the peel's leaf entries,
-    in peel order.
+    eliminate the core's columns over those labels, fed in ascending
+    order of their lowest label (a stable sort): on bit planes at p = 3
+    (:func:`_eliminate_planes`), on lanes at p >= 5 (:func:`_eliminate`).
+    Each peeled column adds 1 to the rank, so the rank is the number of
+    pivots plus the number of leaves.  Returns the pivot list, the
+    rank, the labels and the peel's leaf entries, in peel order.
 
     The peel drops the columns that a leaf row alone pivots, and the
-    core's rows take the lowest labels, so the lane ints are shorter;
+    core's rows take the lowest labels, so the column ints are shorter;
     feeding the columns that reach the lowest labels first builds the
     pivots from the bottom up.  Both cut the elimination steps.
     """
@@ -244,9 +287,13 @@ def _column_pivots(m: PrimeFieldMatrix) -> tuple[list[int], int, _Lanes, np.ndar
     # each entry's column minimum; a stable sort keeps each column's entries together
     k = np.argsort(np.minimum.reduceat(lab, np.flatnonzero(new))[np.cumsum(new) - 1],
                    kind="stable")
-    lanes = _Lanes(m.p, m.n_rows)
-    pivots, rank = _eliminate(_pack(cols[k], lab[k] * lanes.w, vals[k]), lanes)
-    return pivots, rank + leaves.size, lanes, label, leaves
+    if m.p == 3:  # a value of 2 sets its label's bit on the plane n_rows bits up
+        pivots, rank = _eliminate_planes(_pack(cols[k], lab[k] + m.n_rows * (vals[k] == 2)),
+                                         m.n_rows)
+    else:
+        lanes = _Lanes(m.p, m.n_rows)
+        pivots, rank = _eliminate(_pack(cols[k], lab[k] * lanes.w, vals[k]), lanes)
+    return pivots, rank + leaves.size, label, leaves
 
 
 def gfp_rank(m: PrimeFieldMatrix) -> int:
@@ -259,7 +306,7 @@ def gfp_rank_nullspace(m: PrimeFieldMatrix) -> tuple[int, list[np.ndarray]]:
     """Rank and left-null-space basis over GF(p).
 
     Column form, as :func:`gfp_rank`: the peel takes each leaf row to a
-    peeled column, and the core's pivots are monic at their lead lane q
+    peeled column, and the core's pivots are monic at their lead label q
     and zero above it.  A label j that is no leaf and leads no pivot is
     free: a core row, or a row the peel left with no live entry.  Its
     null vector x has x_j = 1, 0 at every other free label and at every
@@ -284,25 +331,17 @@ def gfp_rank_nullspace(m: PrimeFieldMatrix) -> tuple[int, list[np.ndarray]]:
     """
     nr, p = m.n_rows, m.p
     rows, cols, vals = m.nonzero()
-    pivots, rank, lanes, label, leaves = _column_pivots(m)
+    pivots, rank, label, leaves = _column_pivots(m)
     if rank == nr:
         return rank, []
+    lanes = _Lanes(p, nr)
     leaf_labels = set(label[rows[leaves]].tolist())  # a leaf's label leads no pivot
     leads = [q for q, v in enumerate(pivots) if v]
     free = [j for j, v in enumerate(pivots) if not (v or j in leaf_labels)]
-    # the lanes below the lead of each pivot above the lowest free label,
-    # read from one buffer (no larger than the pivots) as (lane, value)
-    # runs, one run per pivot
-    w = lanes.w
+    # the labels below the lead of each pivot above the lowest free label,
+    # as (label, value) runs, one run per pivot
     above = leads[bisect_right(leads, free[0]):]
-    buf = b"".join((pivots[q] ^ (1 << q * w)).to_bytes(q * w // 8, "little") for q in above)
-    low = np.frombuffer(buf, dtype=lanes.dtype)[::max(1, w // 64)]
-    nz = np.flatnonzero(low)
-    starts = np.cumsum([0] + above)
-    cut = np.searchsorted(nz, starts).tolist()
-    ls = (nz - np.repeat(starts[:-1], np.diff(cut))).tolist()
-    cs = low[nz].tolist()
-    runs = [dict(zip(ls[a:b], cs[a:b])) for a, b in zip(cut, cut[1:])]
+    runs = _plane_runs(pivots, above) if p == 3 else _lane_runs(pivots, above, lanes)
     # each peeled column, last peeled first: its leaf's label, minus the
     # inverse of the leaf's value, and its other entries as a run
     labs, values = label[rows].tolist(), vals.tolist()
@@ -336,8 +375,44 @@ def gfp_rank_nullspace(m: PrimeFieldMatrix) -> tuple[int, list[np.ndarray]]:
                 x[leaf] = xl
                 for i in meets.get(leaf, ()):
                     heappush(heap, i)
-        vectors.append(sum(v << (row_of[l] * w) for l, v in x.items()))  # on the original rows
+        # on the original rows, in lanes
+        vectors.append(sum(v << (row_of[l] * lanes.w) for l, v in x.items()))
     return rank, [lanes.unpack(v) for v in _canonical(vectors, lanes)]
+
+
+def _lane_runs(pivots: list[int], above: list[int], lanes: _Lanes) -> list[dict[int, int]]:
+    """The nonzero lanes below the lead of each lane pivot q in `above`,
+    as {label: value} runs, read from one buffer of q lanes per pivot
+    (no larger than the pivots)."""
+    w = lanes.w
+    buf = b"".join((pivots[q] ^ (1 << q * w)).to_bytes(q * w // 8, "little") for q in above)
+    low = np.frombuffer(buf, dtype=lanes.dtype)[::max(1, w // 64)]
+    nz = np.flatnonzero(low)
+    starts = np.cumsum([0] + above)
+    cut = np.searchsorted(nz, starts).tolist()
+    ls = (nz - np.repeat(starts[:-1], np.diff(cut))).tolist()
+    cs = low[nz].tolist()
+    return [dict(zip(ls[a:b], cs[a:b])) for a, b in zip(cut, cut[1:])]
+
+
+def _plane_runs(pivots: list, above: list[int]) -> list[dict[int, int]]:
+    """The nonzero labels below the lead of each plane pivot q in
+    `above`, as {label: value} runs, read from one buffer that holds
+    two segments of ceil(q / 8) bytes per pivot: plane a below q, then
+    plane b.  Only the nonzero bytes are unpacked to bits."""
+    nbs = [(q + 7) // 8 for q in above]
+    buf = b"".join(((pivots[q][0] ^ 1 << q) | pivots[q][1] << 8 * nb).to_bytes(2 * nb, "little")
+                   for q, nb in zip(above, nbs))
+    u8 = np.frombuffer(buf, dtype=np.uint8)
+    nz = np.flatnonzero(u8)
+    byte, bit = np.nonzero(np.unpackbits(u8[nz, None], axis=1, bitorder="little"))
+    positions = nz[byte] * 8 + bit  # ascending
+    starts = 8 * np.cumsum([0] + [nb for nb in nbs for _ in range(2)])  # of the segments, in bits
+    segment = np.searchsorted(starts, positions, "right") - 1
+    ls = (positions - starts[segment]).tolist()
+    cs = (1 + segment % 2).tolist()  # plane b holds the 2s
+    cut = np.searchsorted(positions, starts[::2]).tolist()
+    return [dict(zip(ls[a:b], cs[a:b])) for a, b in zip(cut, cut[1:])]
 
 
 def _dot(x: dict[int, int], run: dict[int, int]) -> int:

@@ -8,7 +8,6 @@ echoed into every output so any run can be reproduced exactly.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import sys
 
@@ -92,17 +91,6 @@ def _config_from_args(args) -> ModelConfig:
 
 
 def cmd_theory(args) -> int:
-    if args.gamma is not None:
-        try:
-            value = theory.phi_t(args.gamma, args.tol)
-        except ValueError as e:
-            return _usage_error(e)
-        print(f"phi_t(gamma={args.gamma}) = {value:.6f}")
-        if args.out:
-            with _open_output(args.out) as f:
-                json.dump({"gamma": args.gamma, "phi_t": value, "tol": args.tol}, f)
-            print(f"wrote {args.out}")
-        return 0
     try:
         table = theory.build_table(model=args.replacement, tol=args.tol)
     except ValueError as e:
@@ -252,10 +240,8 @@ def cmd_sweep(args) -> int:
               f"{fit.tv_corank:>7.4f} {summary.sigma_mean:>9.5f} "
               f"{table.phi:>7.4f} {summary.anomaly_total:>5}")
     if args.out:
-        with open(args.out, "w", newline="") as f:
-            w = csv.DictWriter(f, fieldnames=list(rows[0].keys()))
-            w.writeheader()
-            w.writerows(rows)
+        with open(args.out, "w") as f:
+            json.dump(rows, f, indent=1, allow_nan=False)
         print(f"wrote {args.out}")
     return 0
 
@@ -266,11 +252,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = ap.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("theory", help="compute exact limiting tables")
-    # phi_t is a without-replacement rate, so --replacement cannot change it
-    mode = p.add_mutually_exclusive_group()
-    mode.add_argument("--replacement", choices=theory.REPLACEMENTS, default=theory.WITHOUT)
-    mode.add_argument("--gamma", type=float, default=None,
-                      help="evaluate the GF(t) rate phi_t at this gamma instead")
+    p.add_argument("--replacement", choices=theory.REPLACEMENTS, default=theory.WITHOUT)
     p.add_argument("--tol", type=float, default=1e-9)
     p.add_argument("--out", type=str, default=None)
     p.set_defaults(fn=cmd_theory)

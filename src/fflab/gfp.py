@@ -39,7 +39,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .gf2 import _degree_labels, _dense_residues, _entry_keys, _pack, _peel
+from .gf2 import _degree_labels, _dense_residues, _entry_keys, _pack, _peel, bit_indices
 
 # Deterministic Miller-Rabin: the smallest composite that is a strong
 # pseudoprime to every prime base up to 37 is this bound, 3.2e23
@@ -316,8 +316,10 @@ def gfp_rank_nullspace(m: PrimeFieldMatrix) -> tuple[int, list[np.ndarray]]:
     column in reverse peel order, the leaf's coefficient is minus the
     column's other terms divided by the leaf's value, which makes x
     orthogonal to that column; the column's other rows are all set by
-    then, and a column that meets no label set in x is skipped.  Both
-    sums run over the smaller of x's support and the pivot or column.
+    then, and a column that meets no label set in x is skipped.  At
+    p = 3 the pivot sums are popcounts of x's planes against the
+    pivot's (:func:`_plane_solve`); every other sum runs over the
+    smaller of x's support and the pivot or column.
     The vectors are mapped back to the original rows and put in reduced
     echelon form keyed by the top row index, monic at the top.
 
@@ -338,10 +340,10 @@ def gfp_rank_nullspace(m: PrimeFieldMatrix) -> tuple[int, list[np.ndarray]]:
     leaf_labels = set(label[rows[leaves]].tolist())  # a leaf's label leads no pivot
     leads = [q for q, v in enumerate(pivots) if v]
     free = [j for j, v in enumerate(pivots) if not (v or j in leaf_labels)]
-    # the labels below the lead of each pivot above the lowest free label,
-    # as (label, value) runs, one run per pivot
+    # the pivots above the lowest free label; at p >= 5 the labels below
+    # the lead of each, as {label: value} runs, one run per pivot
     above = leads[bisect_right(leads, free[0]):]
-    runs = _plane_runs(pivots, above) if p == 3 else _lane_runs(pivots, above, lanes)
+    runs = [] if p == 3 else _lane_runs(pivots, above, lanes)
     # each peeled column, last peeled first: its leaf's label, minus the
     # inverse of the leaf's value, and its other entries as a run
     labs, values = label[rows].tolist(), vals.tolist()
@@ -357,12 +359,15 @@ def gfp_rank_nullspace(m: PrimeFieldMatrix) -> tuple[int, list[np.ndarray]]:
     row_of = np.argsort(label).tolist()  # the inverse permutation of label
     vectors = []
     for j in free:
-        x = {j: 1}  # the nonzero coefficients, by label
         start = bisect_right(above, j)
-        for q, run in zip(above[start:], runs[start:]):
-            xq = -_dot(x, run) % p  # x holds labels below q alone
-            if xq:
-                x[q] = xq
+        if p == 3:
+            x = _plane_solve(j, pivots, above[start:])
+        else:
+            x = {j: 1}  # the nonzero coefficients, by label
+            for q, run in zip(above[start:], runs[start:]):
+                xq = -_dot(x, run) % p  # x holds labels below q alone
+                if xq:
+                    x[q] = xq
         # ascending, as a run holds no leaf of a later column
         heap = sorted(i for l in x for i in meets.get(l, ()))
         while heap:
@@ -395,24 +400,23 @@ def _lane_runs(pivots: list[int], above: list[int], lanes: _Lanes) -> list[dict[
     return [dict(zip(ls[a:b], cs[a:b])) for a, b in zip(cut, cut[1:])]
 
 
-def _plane_runs(pivots: list, above: list[int]) -> list[dict[int, int]]:
-    """The nonzero labels below the lead of each plane pivot q in
-    `above`, as {label: value} runs, read from one buffer that holds
-    two segments of ceil(q / 8) bytes per pivot: plane a below q, then
-    plane b.  Only the nonzero bytes are unpacked to bits."""
-    nbs = [(q + 7) // 8 for q in above]
-    buf = b"".join(((pivots[q][0] ^ 1 << q) | pivots[q][1] << 8 * nb).to_bytes(2 * nb, "little")
-                   for q, nb in zip(above, nbs))
-    u8 = np.frombuffer(buf, dtype=np.uint8)
-    nz = np.flatnonzero(u8)
-    byte, bit = np.nonzero(np.unpackbits(u8[nz, None], axis=1, bitorder="little"))
-    positions = nz[byte] * 8 + bit  # ascending
-    starts = 8 * np.cumsum([0] + [nb for nb in nbs for _ in range(2)])  # of the segments, in bits
-    segment = np.searchsorted(starts, positions, "right") - 1
-    ls = (positions - starts[segment]).tolist()
-    cs = (1 + segment % 2).tolist()  # plane b holds the 2s
-    cut = np.searchsorted(positions, starts[::2]).tolist()
-    return [dict(zip(ls[a:b], cs[a:b])) for a, b in zip(cut, cut[1:])]
+def _plane_solve(j: int, pivots: list, above: list[int]) -> dict[int, int]:
+    """The core part of free label j's null vector at p = 3, as
+    {label: value}: x_j = 1 and, for each plane pivot q in `above` in
+    ascending order, x_q = -sum_{l<q} x_l * pivot_q[l] mod 3.  x is held
+    on two planes (a, b), as the pivots are.  Since 1*1 = 2*2 = 1 and
+    1*2 = -1 mod 3, x_q = |a & pb| + |b & pa| - |a & pa| - |b & pb| mod 3:
+    four popcounts per pivot, the GF(3) twin of GF(2)'s parity."""
+    a, b = 1 << j, 0
+    for q in above:
+        pa, pb = pivots[q]
+        xq = ((a & pb).bit_count() + (b & pa).bit_count()
+              - (a & pa).bit_count() - (b & pb).bit_count()) % 3
+        if xq == 1:
+            a |= 1 << q
+        elif xq == 2:
+            b |= 1 << q
+    return {l: v for v, plane in ((1, a), (2, b)) for l in bit_indices(plane)}
 
 
 def _dot(x: dict[int, int], run: dict[int, int]) -> int:

@@ -11,9 +11,7 @@ Quantities:
 * sigma_s / kappa_s: connectivity constants of random functional
   digraphs, exact rationals.
 * phi: Poisson rate of small fundamental dependencies, one variant per
-  replacement mode; phi_t scales the without-replacement rate by a
-  GF(t) cancellation weight gamma.  No GF(t) co-rank law is given here:
-  Poisson(phi_t) misses the sampled GF(p) models by far.
+  replacement mode.
 * pi(k): the limiting law of the large-part dimension.
 * P*(h, r; m): survival probability that h of h+r large dependencies
   persist in the presence of m small ones.
@@ -86,15 +84,14 @@ def _phi_series(base: Decimal, start: int, inner_gap: int, tol: float) -> tuple[
     return total, terms
 
 
-def _phi_mp(model: str, tol: float, gamma: float = 1.0) -> tuple[Decimal, int]:
-    """phi for `model` (scaled by the GF(t) cancellation weight gamma) and
-    the series length used."""
+def _phi_mp(model: str, tol: float) -> tuple[Decimal, int]:
+    """phi for `model` and the series length used."""
     _check_model(model)
     if not 0 < tol < 1:  # nan fails this too
         raise ValueError(f"tol must be positive and below 1, got {tol}")
     start, gap = (1, 1) if model == WITH else (2, 2)
     with decimal.localcontext(_EXACT):
-        return _phi_series(2 * Decimal(gamma) * Decimal(-2).exp(), start, gap, tol)
+        return _phi_series(2 * Decimal(-2).exp(), start, gap, tol)
 
 
 def phi(model: str = WITH, tol: float = 1e-9) -> float:
@@ -105,19 +102,6 @@ def phi(model: str = WITH, tol: float = 1e-9) -> float:
     Numerically ~0.5215 (with) and ~0.1151 (without).
     """
     return float(_phi_mp(model, tol)[0])
-
-
-def phi_t(gamma: float, tol: float = 1e-9) -> float:
-    """GF(t) small-dependency rate for cancellation weight gamma in (0, 1].
-
-    For a GF(p) model whose nonzero values are drawn with Pr(residue i)
-    = f(i), gamma = f(p-1) for Models 1 and 2 and
-    gamma = sum_i f(i) f(p-i) for Model 3.  Model 1 puts all mass on
-    residue 1, so at p > 2 it gives gamma = 0, which is refused.
-    """
-    if not 0 < gamma <= 1:
-        raise ValueError("gamma must lie in (0, 1]")
-    return float(_phi_mp(WITHOUT, tol, gamma)[0])
 
 
 def _pi_product_length() -> int:

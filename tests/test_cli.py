@@ -32,10 +32,6 @@ class TestTheoryCommand:
         assert run_cli("theory", "--replacement", "with") == 0
         assert "phi = 0.5215" in capsys.readouterr().out
 
-    def test_gft_gamma_one_matches_without(self, capsys):
-        assert run_cli("theory", "--gamma", "1.0") == 0
-        assert "0.115133" in capsys.readouterr().out
-
     def test_json_output(self, tmp_path, capsys):
         # --out is the path itself, with or without a .json suffix
         for name in ("table.json", "table"):
@@ -209,6 +205,21 @@ class TestAuditCommand:
         assert "FAIL" in capsys.readouterr().out
 
 
+class TestSweepCommand:
+    def test_json_output(self, tmp_path, capsys):
+        out = tmp_path / "sweep.json"
+        assert run_cli("sweep", "--n-list", "20,30", "--trials", "5", "--out", str(out)) == 0
+        lines = capsys.readouterr().out.splitlines()
+        rows = json.loads(out.read_text())
+        assert [(row["n"], row["trials"]) for row in rows] == [(20, 5), (30, 5)]
+        # one printed table line per row, each the row's fields
+        assert [line.split() for line in lines[2:4]] == [
+            [str(r["n"]), f"{r['corank0_emp']:.4f}", f"{r['corank0_theory']:.4f}",
+             f"{r['tv_corank']:.4f}", f"{r['sigma_mean']:.5f}", f"{r['phi']:.4f}",
+             str(r["anomalies"])] for r in rows]
+        assert lines[4:] == [f"wrote {out}"]
+
+
 class TestUsageErrors:
     def test_unknown_command_exits_2(self):
         with pytest.raises(SystemExit) as e:
@@ -242,7 +253,7 @@ class TestUsageErrors:
         (("audit", "--seed", "-1"), "--seed"),
         (("sweep", "--seed", "-1"), "--seed"),
         (("analyze", "--trial", "-1"), "--trial"),
-        (("theory", "--gamma", "0.5", "--replacement", "with"), "--replacement"),
+        (("theory", "--replacement", "sometimes"), "--replacement"),
     ])
     def test_out_of_range_value_exits_2(self, argv, flag, capsys):
         with pytest.raises(SystemExit) as e:
@@ -254,10 +265,11 @@ class TestUsageErrors:
         ("simulate", "--omega"), ("simulate", "--window-a"), ("simulate", "--dmax"),
         ("analyze", "--omega"), ("analyze", "--window-a"), ("theory", "--dmax"),
         ("sweep", "--dmax"), ("theory", "--format"), ("simulate", "--format"),
-        ("simulate", "--guard"), ("analyze", "--guard")])
+        ("simulate", "--guard"), ("analyze", "--guard"), ("theory", "--gamma")])
     def test_removed_flag_is_refused(self, command, flag, capsys):
         # omega, a, the enumeration guard and the theory grid are fixed,
-        # and JSON is the one output format; no flag sets them
+        # JSON is the one output format, and theory has no GF(t) rate;
+        # no flag sets them
         sizes = {"simulate": ("--n", "20", "--trials", "1"),
                  "analyze": ("--n", "20", "--trial", "0"),
                  "theory": (), "sweep": ("--n-list", "20", "--trials", "1")}
@@ -268,12 +280,11 @@ class TestUsageErrors:
 
     @pytest.mark.parametrize("argv", [
         ("theory", "--out"),
-        ("theory", "--gamma", "0.5", "--out"),
         ("simulate", "--n", "20", "--trials", "1", "--records"),
         ("simulate", "--n", "20", "--trials", "1", "--out"),
         ("analyze", "--n", "20", "--trial", "0", "--out"),
         ("sweep", "--n-list", "20", "--trials", "1", "--out"),
-    ], ids=["theory", "theory-gamma", "simulate-records", "simulate-out", "analyze", "sweep"])
+    ], ids=["theory", "simulate-records", "simulate-out", "analyze", "sweep"])
     def test_unwritable_output_exits_2(self, argv, tmp_path, monkeypatch, capsys):
         def no_campaign(*args, **kwargs):
             raise AssertionError("ran the campaign before checking the output path")

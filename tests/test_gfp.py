@@ -290,6 +290,20 @@ def test_gf3_rank_memory_stays_on_the_planes():
     assert peak < 1.5 * 2**20
 
 
+def test_gf3_back_substitution_stays_on_the_planes():
+    # x walks the core pivots as two planes, read by popcount, with no
+    # {label: value} run built per pivot.  Measured at 3.75 MiB, against
+    # 11.41 MiB with the runs.
+    m = sample_gft(ModelConfig(n=5000, p=3, gft_model=1, master_seed=5000), 0)
+    tracemalloc.start()
+    try:
+        gfp_rank_nullspace(m)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 6 * 2**20
+
+
 def test_canonical_pass_is_linear_in_its_hits():
     # one column, set in row 0 alone: every other row is a unit null vector,
     # and a pass over all pairs of them took seconds

@@ -25,7 +25,6 @@ PI1 = 0.577576190173204843
 PI2 = 0.128350264482934409
 P00_WITHOUT = 0.257381702172753601
 P00_WITH = 0.171431619254157100
-PHI_T_HALF = 0.014087040882215209  # 50-term direct summation at gamma = 1/2
 # sha256 of json.dumps(build_table(model).to_json_dict(), sort_keys=True):
 # every float of the default tables, pinned bit for bit.
 TABLE_SHA256 = {
@@ -77,26 +76,6 @@ class TestPhi:
             theory.phi("sometimes")
         with pytest.raises(ValueError):
             theory.phi("with", tol=0)
-
-
-class TestPhiT:
-    def test_gamma_one_reduces_to_without_replacement(self):
-        assert theory.phi_t(1.0, 1e-12) == pytest.approx(PHI_WITHOUT, abs=1e-11)
-
-    def test_gamma_half_matches_direct_summation(self):
-        assert theory.phi_t(0.5, 1e-12) == pytest.approx(PHI_T_HALF, abs=1e-12)
-
-    def test_small_gamma_vanishes(self):
-        assert theory.phi_t(1e-6) < 1e-11
-
-    def test_monotone_in_gamma(self):
-        vals = [theory.phi_t(g) for g in (0.2, 0.5, 0.8, 1.0)]
-        assert vals == sorted(vals)
-
-    def test_domain(self):
-        for g in (0.0, -0.5, 1.5):
-            with pytest.raises(ValueError):
-                theory.phi_t(g)
 
 
 class TestPi:
@@ -279,9 +258,7 @@ class TestTable:
                                       lambda: theory.build_table("with", tol=math.inf),
                                       lambda: theory.build_table(tol=1),
                                       lambda: theory.phi("with", math.nan),
-                                      lambda: theory.phi("without", 1e300),
-                                      lambda: theory.phi_t(1.0, math.nan),
-                                      lambda: theory.phi_t(0.5, math.inf)])
+                                      lambda: theory.phi("without", 1e300)])
     def test_nonpositive_tol_fails_fast(self, call):
         t0 = time.perf_counter()
         with pytest.raises(ValueError, match="tol"):

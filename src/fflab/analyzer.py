@@ -198,7 +198,6 @@ class NullSpaceReport:
     small_supports: list[int] = dc_field(repr=False, default_factory=list)
     anomalies: list[int] = dc_field(default_factory=list)
     omega: int = 0
-    window_a: float = WINDOW_A
     disjoint_violations: int = 0
     equiv_violations: int = 0
     large_basis: list[int] = dc_field(repr=False, default_factory=list)
@@ -218,7 +217,7 @@ class NullSpaceReport:
             "small_supports": [bit_indices(s) for s in self.small_supports],
             "anomalies": self.anomalies,
             "omega": self.omega,
-            "window_a": self.window_a,
+            "window_a": WINDOW_A,
             "disjoint_violations": self.disjoint_violations,
             "equiv_violations": self.equiv_violations,
             "large_basis_deficit": self.large_basis_deficit,

@@ -1,8 +1,8 @@
 """Operator surface: theory tables, campaigns, matrix analysis, audits.
 
 Exit codes: 0 success, 1 a configured acceptance threshold failed,
-2 usage or parse error (including a size, count, seed or tolerance out
-of range, and an output path that cannot be opened).  Master seeds are
+2 usage or parse error (including a size, count or seed out of range,
+and an output path that cannot be opened).  Master seeds are
 echoed into every output so any run can be reproduced exactly.
 """
 from __future__ import annotations
@@ -38,10 +38,6 @@ def _int_at_least(minimum: int):
 
 
 _positive_int, _nonnegative_int = _int_at_least(1), _int_at_least(0)
-
-
-def _positive_int_list(text: str) -> list[int]:
-    return [_positive_int(x) for x in text.split(",")]
 
 
 def _usage_error(message: object) -> int:
@@ -91,10 +87,7 @@ def _config_from_args(args) -> ModelConfig:
 
 
 def cmd_theory(args) -> int:
-    try:
-        table = theory.build_table(model=args.replacement, tol=args.tol)
-    except ValueError as e:
-        return _usage_error(e)
+    table = theory.build_table(model=args.replacement)
     print(f"model: {table.model} replacement")
     print(f"phi = {table.phi:.4f}")
     print(f"pi(0) = {table.pi[0]:.4f}")
@@ -191,7 +184,7 @@ def cmd_analyze(args) -> int:
         print(f"gf2 n_rows={m.n_rows} n_cols={m.n_cols}")
         print(f"rank={rep.rank} corank={rep.d} sigma={rep.sigma} lambda={rep.lam}")
         print(f"weights={rep.weights}")
-        print(f"anomalies={rep.anomalies} omega={rep.omega} window_a={rep.window_a}")
+        print(f"anomalies={rep.anomalies} omega={rep.omega} window_a={WINDOW_A}")
         out = rep.to_json_dict()
     if args.out:
         with _open_output(args.out) as f:
@@ -215,37 +208,6 @@ def cmd_audit(args) -> int:
     return 0 if all(r.passed for r in results) else 1
 
 
-def cmd_sweep(args) -> int:
-    try:
-        configs = [ModelConfig(n=n, replacement=args.replacement, master_seed=args.seed)
-                   for n in args.n_list]
-    except ValueError as e:
-        return _usage_error(e)
-    _check_outputs(args.out)
-    table = theory.build_table(model=args.replacement)
-    rows = []
-    print(f"seed={args.seed} trials={args.trials} model={args.replacement}")
-    print(f"{'n':>6} {'p0_emp':>8} {'p0_thy':>8} {'tv':>7} {'sig_mean':>9} "
-          f"{'phi':>7} {'anom':>5}")
-    for cfg in configs:
-        _, summary = run_campaign(cfg, trials=args.trials, workers=args.workers)
-        fit = compare_to_theory(summary, table)
-        rows.append({"n": cfg.n, "trials": args.trials,
-                     "corank0_emp": fit.corank0_emp,
-                     "corank0_theory": fit.corank0_theory,
-                     "tv_corank": fit.tv_corank, "tv_joint": fit.tv_joint,
-                     "sigma_mean": summary.sigma_mean, "phi": table.phi,
-                     "anomalies": summary.anomaly_total})
-        print(f"{cfg.n:>6} {fit.corank0_emp:>8.4f} {fit.corank0_theory:>8.4f} "
-              f"{fit.tv_corank:>7.4f} {summary.sigma_mean:>9.5f} "
-              f"{table.phi:>7.4f} {summary.anomaly_total:>5}")
-    if args.out:
-        with open(args.out, "w") as f:
-            json.dump(rows, f, indent=1, allow_nan=False)
-        print(f"wrote {args.out}")
-    return 0
-
-
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="fflab",
                                  description="finite-field random-matrix lab")
@@ -253,7 +215,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("theory", help="compute exact limiting tables")
     p.add_argument("--replacement", choices=theory.REPLACEMENTS, default=theory.WITHOUT)
-    p.add_argument("--tol", type=float, default=1e-9)
     p.add_argument("--out", type=str, default=None)
     p.set_defaults(fn=cmd_theory)
 
@@ -285,14 +246,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--workers", type=_positive_int, default=1)
     p.set_defaults(fn=cmd_audit)
 
-    p = sub.add_parser("sweep", help="convergence sweep over n")
-    p.add_argument("--n-list", type=_positive_int_list, default="250,500,1000,2000")
-    p.add_argument("--replacement", choices=theory.REPLACEMENTS, default=theory.WITHOUT)
-    p.add_argument("--trials", type=_positive_int, default=2000)
-    p.add_argument("--seed", type=_nonnegative_int, default=0)
-    p.add_argument("--workers", type=_positive_int, default=1)
-    p.add_argument("--out", type=str, default=None)
-    p.set_defaults(fn=cmd_sweep)
     return ap
 
 

@@ -68,7 +68,7 @@ class TestClassify:
         a2 = indices_to_bits(range(10, 260))
         a3 = a1 | a2
         rep = classify([(a1, 2), (a2, 250), (a3, 252)], n)
-        assert (rep.omega, rep.window_a) == (39, 4.0)
+        assert (rep.omega, rep.to_json_dict()["window_a"]) == (39, 4.0)
         assert rep.anomalies == []
         assert rep.sigma == 1 and rep.lam == 1
 

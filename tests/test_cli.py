@@ -1,6 +1,8 @@
+import argparse
 import importlib.util
 import json
 import os
+import re
 import shlex
 import subprocess
 import sys
@@ -205,55 +207,39 @@ class TestAuditCommand:
         assert "FAIL" in capsys.readouterr().out
 
 
-class TestSweepCommand:
-    def test_json_output(self, tmp_path, capsys):
-        out = tmp_path / "sweep.json"
-        assert run_cli("sweep", "--n-list", "20,30", "--trials", "5", "--out", str(out)) == 0
-        lines = capsys.readouterr().out.splitlines()
-        rows = json.loads(out.read_text())
-        assert [(row["n"], row["trials"]) for row in rows] == [(20, 5), (30, 5)]
-        # one printed table line per row, each the row's fields
-        assert [line.split() for line in lines[2:4]] == [
-            [str(r["n"]), f"{r['corank0_emp']:.4f}", f"{r['corank0_theory']:.4f}",
-             f"{r['tv_corank']:.4f}", f"{r['sigma_mean']:.5f}", f"{r['phi']:.4f}",
-             str(r["anomalies"])] for r in rows]
-        assert lines[4:] == [f"wrote {out}"]
-
-
 class TestUsageErrors:
-    def test_unknown_command_exits_2(self):
+    @pytest.mark.parametrize("command", ["frobnicate", "sweep"])
+    def test_unknown_command_exits_2(self, command, capsys):
         with pytest.raises(SystemExit) as e:
-            run_cli("frobnicate")
+            run_cli(command)
         assert e.value.code == 2
+        assert f"invalid choice: '{command}'" in capsys.readouterr().err
 
     def test_bad_flag_exits_2(self):
         with pytest.raises(SystemExit) as e:
             run_cli("theory", "--no-such-flag")
         assert e.value.code == 2
 
+    # fixed ids, so that a case keeps its id when another is removed
     @pytest.mark.parametrize("argv, flag", [
-        (("audit", "--trials", "0"), "--trials"),
-        (("simulate", "--trials", "0"), "--trials"),
-        (("sweep", "--n-list", "a"), "--n-list"),
-        (("sweep", "--n-list", "250,0"), "--n-list"),
-        (("audit", "--n", "0"), "--n"),
-        (("simulate", "--n", "0"), "--n"),
-        (("analyze", "--n", "x", "--trial", "0"), "--n"),
-        (("sweep", "--trials", "0"), "--trials"),
-        (("audit", "--trials", "1.5"), "--trials"),
-        (("sweep", "--n-list", "250,,500"), "--n-list"),
-        (("analyze", "--matrix", "fx.mat", "--trial", "3", "--n", "60", "--p", "3",
-          "--gft-model", "1"), "--matrix"),
-        (("analyze", "--trial", "3", "--matrix", "fx.mat"), "--trial"),
-        (("simulate", "--workers", "0"), "--workers"),
-        (("audit", "--workers", "-2"), "--workers"),
-        (("sweep", "--workers", "0"), "--workers"),
-        (("simulate", "--seed", "-1"), "--seed"),
-        (("analyze", "--seed", "-1"), "--seed"),
-        (("audit", "--seed", "-1"), "--seed"),
-        (("sweep", "--seed", "-1"), "--seed"),
-        (("analyze", "--trial", "-1"), "--trial"),
-        (("theory", "--replacement", "sometimes"), "--replacement"),
+        pytest.param(("audit", "--trials", "0"), "--trials", id="argv0---trials"),
+        pytest.param(("simulate", "--trials", "0"), "--trials", id="argv1---trials"),
+        pytest.param(("audit", "--n", "0"), "--n", id="argv4---n"),
+        pytest.param(("simulate", "--n", "0"), "--n", id="argv5---n"),
+        pytest.param(("analyze", "--n", "x", "--trial", "0"), "--n", id="argv6---n"),
+        pytest.param(("audit", "--trials", "1.5"), "--trials", id="argv8---trials"),
+        pytest.param(("analyze", "--matrix", "fx.mat", "--trial", "3", "--n", "60", "--p", "3",
+                      "--gft-model", "1"), "--matrix", id="argv10---matrix"),
+        pytest.param(("analyze", "--trial", "3", "--matrix", "fx.mat"), "--trial",
+                     id="argv11---trial"),
+        pytest.param(("simulate", "--workers", "0"), "--workers", id="argv12---workers"),
+        pytest.param(("audit", "--workers", "-2"), "--workers", id="argv13---workers"),
+        pytest.param(("simulate", "--seed", "-1"), "--seed", id="argv15---seed"),
+        pytest.param(("analyze", "--seed", "-1"), "--seed", id="argv16---seed"),
+        pytest.param(("audit", "--seed", "-1"), "--seed", id="argv17---seed"),
+        pytest.param(("analyze", "--trial", "-1"), "--trial", id="argv19---trial"),
+        pytest.param(("theory", "--replacement", "sometimes"), "--replacement",
+                     id="argv20---replacement"),
     ])
     def test_out_of_range_value_exits_2(self, argv, flag, capsys):
         with pytest.raises(SystemExit) as e:
@@ -264,15 +250,14 @@ class TestUsageErrors:
     @pytest.mark.parametrize("command, flag", [
         ("simulate", "--omega"), ("simulate", "--window-a"), ("simulate", "--dmax"),
         ("analyze", "--omega"), ("analyze", "--window-a"), ("theory", "--dmax"),
-        ("sweep", "--dmax"), ("theory", "--format"), ("simulate", "--format"),
-        ("simulate", "--guard"), ("analyze", "--guard"), ("theory", "--gamma")])
+        ("theory", "--format"), ("simulate", "--format"), ("simulate", "--guard"),
+        ("analyze", "--guard"), ("theory", "--gamma"), ("theory", "--tol")])
     def test_removed_flag_is_refused(self, command, flag, capsys):
-        # omega, a, the enumeration guard and the theory grid are fixed,
-        # JSON is the one output format, and theory has no GF(t) rate;
-        # no flag sets them
+        # omega, a, the enumeration guard, the theory grid and its
+        # tolerance are fixed, JSON is the one output format, and theory
+        # has no GF(t) rate; no flag sets them
         sizes = {"simulate": ("--n", "20", "--trials", "1"),
-                 "analyze": ("--n", "20", "--trial", "0"),
-                 "theory": (), "sweep": ("--n-list", "20", "--trials", "1")}
+                 "analyze": ("--n", "20", "--trial", "0"), "theory": ()}
         with pytest.raises(SystemExit) as e:
             run_cli(command, *sizes[command], flag, "4")
         assert e.value.code == 2
@@ -283,8 +268,7 @@ class TestUsageErrors:
         ("simulate", "--n", "20", "--trials", "1", "--records"),
         ("simulate", "--n", "20", "--trials", "1", "--out"),
         ("analyze", "--n", "20", "--trial", "0", "--out"),
-        ("sweep", "--n-list", "20", "--trials", "1", "--out"),
-    ], ids=["theory", "simulate-records", "simulate-out", "analyze", "sweep"])
+    ], ids=["theory", "simulate-records", "simulate-out", "analyze"])
     def test_unwritable_output_exits_2(self, argv, tmp_path, monkeypatch, capsys):
         def no_campaign(*args, **kwargs):
             raise AssertionError("ran the campaign before checking the output path")
@@ -295,13 +279,16 @@ class TestUsageErrors:
         assert f"error: {path}: No such file or directory" in capsys.readouterr().err
         assert not path.parent.exists()
 
-    @pytest.mark.parametrize("n_list", ["2", "60,2"])
-    def test_sweep_model_error_exits_2(self, n_list, monkeypatch, capsys):
-        def no_campaign(*args, **kwargs):
+    @pytest.mark.parametrize("argv", [("simulate", "--n", "2", "--trials", "5"),
+                                      ("analyze", "--n", "2", "--trial", "0")],
+                             ids=["simulate", "analyze"])
+    def test_model_error_exits_2(self, argv, monkeypatch, capsys):
+        def no_sampling(*args, **kwargs):
             raise AssertionError("sampled before rejecting the model")
 
-        monkeypatch.setattr(cli, "run_campaign", no_campaign)
-        assert run_cli("sweep", "--n-list", n_list, "--trials", "5") == 2
+        monkeypatch.setattr(cli, "run_campaign", no_sampling)
+        monkeypatch.setattr(cli, "sample", no_sampling)
+        assert run_cli(*argv) == 2
         out, err = capsys.readouterr()
         assert out == "" and "error: without replacement requires" in err
 
@@ -318,10 +305,6 @@ class TestUsageErrors:
                        "--f-dist", "nan,nan", "--trials", "2") == 2
         assert "f_dist entries must be nonnegative" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("tol", ["0", "-0.5", "nan", "inf", "1"])
-    def test_nonpositive_tol_exits_2(self, tol, capsys):
-        assert run_cli("theory", "--tol", tol) == 2
-        assert "tol must be positive" in capsys.readouterr().err
 
 
 def _headline_script():
@@ -366,13 +349,16 @@ class TestHeadlineScript:
         assert _headline_script().main([*self.SIZE, "--out-dir", str(tmp_path)]) == 1
 
 
+def _readme_cli_section() -> str:
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    with open(os.path.join(root, "README.md")) as f:
+        return f.read().split("## CLI", 1)[1]
+
+
 def _readme_commands() -> list[str]:
     """The fflab commands of the README's CLI block, one string each, with
     backslash continuations joined and # comments stripped."""
-    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-    with open(os.path.join(root, "README.md")) as f:
-        text = f.read()
-    block = text.split("## CLI", 1)[1].split("```")[1]
+    block = _readme_cli_section().split("```")[1]
     lines = (line.split("#", 1)[0].strip() for line in block.replace("\\\n", " ").splitlines())
     return [line for line in lines if line.startswith("fflab ")]
 
@@ -386,6 +372,16 @@ def test_readme_commands_parse():
             parser.parse_args(shlex.split(command)[1:])
         except SystemExit:
             pytest.fail(f"README command does not parse: {command}")
+    # every subcommand is shown, and the exit-code paragraph names only
+    # options that some subcommand has
+    subparsers = next(a for a in parser._actions
+                      if isinstance(a, argparse._SubParsersAction)).choices
+    assert set(subparsers) == {shlex.split(command)[1] for command in commands}
+    options = {flag for p in subparsers.values() for a in p._actions for flag in a.option_strings}
+    paragraph = _readme_cli_section().split("Exit codes:", 1)[1].split("\n\n", 1)[0]
+    flags = {flag for span in re.findall(r"`([^`]*)`", paragraph)
+             for flag in re.findall(r"--[\w-]+", span)}
+    assert flags and flags <= options, sorted(flags - options)
 
 
 def test_cold_start_loads_no_scipy():

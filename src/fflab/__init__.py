@@ -12,8 +12,6 @@ from .models import (
     functional_graph_components,
     parse_matrix,
     sample,
-    sample_gf2,
-    sample_gft,
     serialize_matrix,
 )
 from .analyzer import (
@@ -45,8 +43,6 @@ __all__ = [
     "functional_graph_components",
     "parse_matrix",
     "sample",
-    "sample_gf2",
-    "sample_gft",
     "serialize_matrix",
     "GuardExceeded",
     "IntersectionStructure",

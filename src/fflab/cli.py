@@ -2,13 +2,15 @@
 
 Exit codes: 0 success, 1 a configured acceptance threshold failed,
 2 usage or parse error (including a size, count or seed out of range,
-and an output path that cannot be opened).  Master seeds are
+an output path that cannot be opened, and simulate records and summary
+sent to the same file).  Master seeds are
 echoed into every output so any run can be reproduced exactly.
 """
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from . import theory
@@ -109,6 +111,8 @@ def cmd_simulate(args) -> int:
     if args.check and (cfg.p is not None or cfg.r != 1 or cfg.s != 3):
         return _usage_error("--check applies to the r=1, s=3 GF(2) models")
     _check_outputs(args.records, args.out)
+    if args.records and args.out and os.path.samefile(args.records, args.out):
+        return _usage_error(f"--records and --out name the same file: {args.out}")
     records, summary = run_campaign(cfg, trials=args.trials, workers=args.workers)
     print(f"model {summary.model} n={summary.n} trials={summary.trials} "
           f"seed={summary.master_seed} wall={summary.wall_s:.1f}s")

@@ -1,4 +1,4 @@
-"""Seeded samplers for the random incidence-matrix models.
+"""Seeded sampler for the random incidence-matrix models.
 
 A configuration describes an n x rn matrix: for every row index i there
 are r columns, each carrying a unit entry on row i (the diagonal of its
@@ -77,13 +77,6 @@ class ModelConfig:
             return f"gf2:r{self.r}:s{self.s}:{self.replacement}"
         return f"gf{self.p}:model{self.gft_model}"
 
-    def effective_f(self) -> np.ndarray:
-        """Entry distribution for Models 2/3; uniform when not given."""
-        assert self.p is not None
-        if self.f_dist is None:
-            return np.full(self.p - 1, 1.0 / (self.p - 1))
-        return np.asarray(self.f_dist, dtype=float)
-
 
 def trial_generator(cfg: ModelConfig, trial: int) -> np.random.Generator:
     """Stable per-trial RNG: SeedSequence(master_seed) spawned at key (trial,)."""
@@ -118,50 +111,32 @@ def _draw_positions(rng: np.random.Generator, n: int, r: int, s: int,
     return out
 
 
-def sample_gf2(cfg: ModelConfig, trial: int) -> BitMatrix:
-    """Sample the GF(2) model for one trial.
+def sample(cfg: ModelConfig, trial: int) -> BitMatrix | PrimeFieldMatrix:
+    """Sample the configured model for one trial.
 
-    Column i of block j is the XOR of a unit at row i and s-1 random
-    unit rows; with replacement all s entries accumulate (a random hit
-    on the diagonal row cancels it), without replacement the random
-    rows are distinct and never equal to i.
+    Column i of block j holds a unit at row i and s-1 random unit rows.
+    Over GF(2) with replacement all s entries accumulate (a random hit
+    on the diagonal row cancels it); without replacement the random
+    rows are distinct and never equal to i.  A GF(p) model takes its
+    positions from the same draw, then its values (when the model has
+    any): off-diagonal values from f first, then diagonal values for
+    Model 3.  So Model 3 over GF(2) with f = {1: 1.0} equals the GF(2)
+    model under the same seed schedule.
     """
-    if cfg.p is not None:
-        raise ValueError("sample_gf2 requires a GF(2) model (p unset)")
     rng = trial_generator(cfg, trial)
     rn = cfg.r * cfg.n
     pos = _draw_positions(rng, cfg.n, cfg.r, cfg.s, cfg.replacement)
-    return BitMatrix(cfg.n, rn, pos, np.arange(rn)[:, None])
-
-
-def sample_gft(cfg: ModelConfig, trial: int) -> PrimeFieldMatrix:
-    """Sample the GF(p) model for one trial.
-
-    Position draws consume the generator exactly like the GF(2) sampler,
-    so Model 3 over GF(2) with f = {1: 1.0} is bit-identical to
-    sample_gf2 under the same seed schedule.  Value draws (when the
-    model has any) follow: off-diagonal values first, then diagonal
-    values for Model 3.
-    """
+    cols = np.arange(rn)[:, None]
     if cfg.p is None:
-        raise ValueError("sample_gft requires a prime modulus p")
-    p = cfg.p
-    n = cfg.n
-    rng = trial_generator(cfg, trial)
-    pos = _draw_positions(rng, n, 1, 3, WITHOUT)
-    off = np.ones((n, 2), dtype=np.int64)
-    dia = np.ones(n, dtype=np.int64)
+        return BitMatrix(cfg.n, rn, pos, cols)
+    vals = np.ones((rn, 3), dtype=np.int64)  # entry 0 of pos is the diagonal
     if cfg.gft_model != 1:  # only Models 2 and 3 draw values from f
-        f, residues = cfg.effective_f(), np.arange(1, p)
-        off = rng.choice(residues, size=(n, 2), p=f)
+        f = cfg.f_dist or np.full(cfg.p - 1, 1.0 / (cfg.p - 1))
+        residues = np.arange(1, cfg.p)
+        vals[:, 1:] = rng.choice(residues, size=(rn, 2), p=f)
         if cfg.gft_model == 3:
-            dia = rng.choice(residues, size=n, p=f)
-    vals = np.column_stack([dia, off])  # entry 0 of pos is the diagonal
-    return PrimeFieldMatrix(p, n, n, pos, np.arange(n)[:, None], vals)
-
-
-def sample(cfg: ModelConfig, trial: int) -> BitMatrix | PrimeFieldMatrix:
-    return sample_gf2(cfg, trial) if cfg.p is None else sample_gft(cfg, trial)
+            vals[:, 0] = rng.choice(residues, size=rn, p=f)
+    return PrimeFieldMatrix(cfg.p, cfg.n, rn, pos, cols, vals)
 
 
 def functional_graph_components(m: BitMatrix) -> int:

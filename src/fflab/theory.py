@@ -30,68 +30,60 @@ from fractions import Fraction
 
 WITH = "with"
 WITHOUT = "without"
-REPLACEMENTS = (WITH, WITHOUT)  # the replacement modes, here and in models
+# What tells the replacement modes apart: the rows a column's random
+# entries avoid, none with replacement and the column's own row without.
+_EXCLUDED = {WITH: 0, WITHOUT: 1}
+REPLACEMENTS = tuple(_EXCLUDED)  # the replacement modes, here and in models
 
 _PRODUCT_TRUNC = 1e-15   # drop product factors within this of unity
 _MAX_TERMS = 100_000
 _EXACT = decimal.Context(prec=50)   # the working precision of every internal sum
 
 
-def _check_model(model: str) -> None:
+def _excluded(model: str) -> int:
+    """The rows a column's random entries avoid under `model`."""
     if model not in REPLACEMENTS:
         raise ValueError(f"model must be '{WITH}' or '{WITHOUT}', got {model!r}")
+    return _EXCLUDED[model]
 
 
 def sigma_kappa(s: int, model: str = WITH) -> tuple[Fraction, Fraction]:
     """Connectivity constants (sigma_s, kappa_s) as exact rationals.
 
     kappa_s is the probability that the underlying graph of a uniform
-    functional digraph on s vertices is connected; the without-
-    replacement variant forbids fixed points, so each vertex maps to one
-    of the other s-1 and the denominator becomes (s-1)^s.
+    functional digraph on s vertices is connected; with e excluded rows
+    each vertex maps to one of s - e vertices, so the denominator is (s-e)^s.
     """
-    _check_model(model)
-    if model == WITH:
-        if s < 1:
-            raise ValueError("s must be >= 1 for the with-replacement model")
-        sig = sum(Fraction(s ** j, math.factorial(j)) for j in range(s))
-        return sig, Fraction(math.factorial(s - 1), s ** s) * sig
-    if s < 2:
-        raise ValueError("s must be >= 2 for the without-replacement model")
-    sig = sum(Fraction(s ** j, math.factorial(j)) for j in range(s - 1))
-    return sig, Fraction(math.factorial(s - 1), (s - 1) ** s) * sig
+    e = _excluded(model)
+    if s < 1 + e:
+        raise ValueError(f"s must be >= {1 + e} for the {model}-replacement model")
+    sig = sum(Fraction(s ** j, math.factorial(j)) for j in range(s - e))
+    return sig, Fraction(math.factorial(s - 1), (s - e) ** s) * sig
 
 
-def _phi_series(base: Decimal, start: int, inner_gap: int, tol: float) -> tuple[Decimal, int]:
-    """sum_{l>=start} base^l / l * sum_{j=0}^{l-inner_gap} l^j / j!"""
+def _phi_series(base: Decimal, start: int, tol: float) -> tuple[Decimal, int]:
+    """sum_{l>=start} base^l / l * sum_{j=0}^{l-start} l^j / j!"""
     cutoff = Decimal(tol) * Decimal("1e-2")
     total = Decimal(0)
-    terms = 0
-    l = start
-    while l < _MAX_TERMS:
-        inner = Decimal(0)
-        pw = Decimal(1)
-        for j in range(0, l - inner_gap + 1):
-            if j > 0:
-                pw = pw * l / j
+    for l in range(start, _MAX_TERMS):
+        inner = pw = Decimal(1)
+        for j in range(1, l - start + 1):
+            pw = pw * l / j
             inner += pw
         term = base ** l / l * inner
         total += term
-        terms += 1
         if term < cutoff:
             break
-        l += 1
-    return total, terms
+    return total, l - start + 1
 
 
 def _phi_mp(model: str, tol: float) -> tuple[Decimal, int]:
     """phi for `model` and the series length used."""
-    _check_model(model)
+    start = 1 + _excluded(model)
     if not 0 < tol < 1:  # nan fails this too
         raise ValueError(f"tol must be positive and below 1, got {tol}")
-    start, gap = (1, 1) if model == WITH else (2, 2)
     with decimal.localcontext(_EXACT):
-        return _phi_series(2 * Decimal(-2).exp(), start, gap, tol)
+        return _phi_series(2 * Decimal(-2).exp(), start, tol)
 
 
 def phi(model: str = WITH, tol: float = 1e-9) -> float:
@@ -183,26 +175,20 @@ def p_joint(sigma: int, lam: int, phi_value: float) -> float:
 
 def expected_num_deps(n: int, ell: int, model: str = WITH) -> float:
     """Exact E X_ell, the expected number of ell-row dependencies at
-    finite n (r=1, s=3), evaluated in log space via lgamma."""
-    _check_model(model)
+    finite n (r=1, s=3), evaluated in log space via lgamma.  With e
+    excluded rows a column's two random rows are one of (n-e)(n-2e)
+    equally likely ordered pairs."""
+    e = _excluded(model)
     if not 1 <= ell <= n:
         raise ValueError("need 1 <= ell <= n")
-    if model == WITH:
-        if ell == n:
-            return 0.0
-        ln_c = math.lgamma(n + 1) - math.lgamma(ell + 1) - math.lgamma(n - ell + 1)
-        ln_dep = ell * (math.log(2) + math.log(ell) + math.log(n - ell) - 2 * math.log(n))
-        ln_out = (n - ell) * math.log((ell * ell + (n - ell) * (n - ell)) / (n * n))
-        return math.exp(ln_c + ln_dep + ln_out)
-    if ell <= 1 or ell == n:
+    if ell <= e or ell == n:
         return 0.0
-    den = (n - 1) * (n - 2)
-    inner = ell * (ell - 1) + (n - 1 - ell) * (n - 2 - ell)
-    if inner == 0:
-        return 0.0
+    den = (n - e) * (n - 2 * e)
+    inner = ell * (ell - e) + (n - e - ell) * (n - 2 * e - ell)
     ln_c = math.lgamma(n + 1) - math.lgamma(ell + 1) - math.lgamma(n - ell + 1)
-    ln_dep = ell * (math.log(2) + math.log(ell - 1) + math.log(n - ell) - math.log(den))
-    ln_out = (n - ell) * (math.log(inner) - math.log(den))
+    ln_dep = ell * (math.log(2) + math.log(ell - e) + math.log(n - ell)
+                    - math.log(n - e) - math.log(n - 2 * e))
+    ln_out = (n - ell) * math.log(inner / den)
     return math.exp(ln_c + ln_dep + ln_out)
 
 

@@ -262,6 +262,34 @@ def expected_deps_direct(n: int, ell: int, model: str) -> float:
             * ((ell * (ell - 1) + (n - 1 - ell) * (n - 2 - ell)) / d) ** (n - ell))
 
 
+def expected_deps_enumerated(n: int, ell: int, model: str) -> Fraction:
+    """E X_ell as an exact Fraction, by enumerating every column's draws.
+
+    Column i holds its own row i and two random rows: any of the n^2
+    ordered pairs with replacement, or one of the (n-1)(n-2) ordered
+    pairs of distinct rows away from i without.  For each ell-subset S
+    of rows, take the fraction of each column's pairs that leave the
+    column even on S, multiply over the columns and sum over S.
+    Usable only for small n.
+    """
+    if model == "with":
+        pairs = [[(u, v) for u in range(n) for v in range(n)] for _ in range(n)]
+    else:
+        pairs = [[(u, v) for u in range(n) for v in range(n) if len({i, u, v}) == 3]
+                 for i in range(n)]
+    total = Fraction(0)
+    for rows in itertools.combinations(range(n), ell):
+        S = set(rows)
+        prob = Fraction(1)
+        for i in range(n):
+            even = sum(((i in S) + (u in S) + (v in S)) % 2 == 0 for u, v in pairs[i])
+            prob *= Fraction(even, len(pairs[i]))
+            if not prob:
+                break
+        total += prob
+    return total
+
+
 def chi2_sf_closed_form(stat: float, dof: int) -> float:
     """Chi-square upper tail for integer dof >= 1 by the textbook closed forms.
 

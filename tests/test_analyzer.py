@@ -23,7 +23,7 @@ from fflab.analyzer import (
     window_halfwidth,
 )
 from fflab.gf2 import BitMatrix, indices_to_bits
-from fflab.models import ModelConfig, sample_gf2
+from fflab.models import ModelConfig, sample
 from oracles import rank_mod2_dense
 
 
@@ -153,7 +153,7 @@ class TestConnectivity:
             cfg = ModelConfig(n=120, replacement=replacement, master_seed=21)
             checked = 0
             for trial in range(300):
-                m = sample_gf2(cfg, trial)
+                m = sample(cfg, trial)
                 rep = analyze_matrix(m)
                 assert rep.equiv_violations == 0
                 checked += sum(1 for w in rep.weights if w <= rep.omega)
@@ -252,7 +252,7 @@ class TestAnalyzeMatrix:
     def test_greedy_large_basis_size_matches_lambda(self):
         cfg = ModelConfig(n=300, master_seed=41)
         for trial in range(100):
-            rep = analyze_matrix(sample_gf2(cfg, trial))
+            rep = analyze_matrix(sample(cfg, trial))
             if not rep.anomalies:
                 assert rep.large_basis_deficit == 0
                 assert len(rep.large_basis) == rep.lam

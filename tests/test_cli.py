@@ -1,4 +1,5 @@
 import argparse
+import ast
 import importlib.util
 import json
 import os
@@ -7,6 +8,7 @@ import shlex
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -279,6 +281,25 @@ class TestUsageErrors:
         assert f"error: {path}: No such file or directory" in capsys.readouterr().err
         assert not path.parent.exists()
 
+    @pytest.mark.parametrize("link", [False, True], ids=["same-path", "symlink"])
+    def test_records_and_out_same_file_exits_2(self, link, tmp_path, monkeypatch, capsys):
+        # the summary would overwrite the records
+        def no_campaign(*args, **kwargs):
+            raise AssertionError("ran the campaign before checking the outputs")
+
+        monkeypatch.setattr(cli, "run_campaign", no_campaign)
+        records = tmp_path / "run.jsonl"
+        out = records
+        if link:
+            out = tmp_path / "summary.json"
+            records.touch()
+            out.symlink_to(records)
+        assert run_cli("simulate", "--n", "50", "--trials", "5",
+                       "--records", str(records), "--out", str(out)) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"error: --records and --out name the same file: {out}" in captured.err
+
     @pytest.mark.parametrize("argv", [("simulate", "--n", "2", "--trials", "5"),
                                       ("analyze", "--n", "2", "--trial", "0")],
                              ids=["simulate", "analyze"])
@@ -399,3 +420,9 @@ def test_exports_resolve_once():
     assert len(set(fflab.__all__)) == len(fflab.__all__)
     for name in fflab.__all__:
         assert hasattr(fflab, name), name
+    # __all__ lists exactly what __init__ imports, and the version
+    tree = ast.parse(Path(fflab.__file__).read_text())
+    imported = {alias.asname or alias.name for node in tree.body
+                if isinstance(node, ast.ImportFrom) and node.level == 1
+                for alias in node.names}
+    assert set(fflab.__all__) == imported | {"__version__"}

@@ -20,7 +20,7 @@ from fflab.gf2 import (
     gf2_rank_nullspace,
     indices_to_bits,
 )
-from fflab.models import ModelConfig, sample_gf2
+from fflab.models import ModelConfig, sample
 from oracles import gf2_vecmat, left_nullspace_canonical_dense, rank_mod2_dense
 
 
@@ -164,12 +164,12 @@ def test_basis_equals_oracle_on_sampled_families(r, s, replacement):
     for n in (3, 64, 65, 300):
         cfg = ModelConfig(n=n, r=r, s=s, replacement=replacement, master_seed=n)
         for trial in range(4 if n < 300 else 2):
-            m = sample_gf2(cfg, trial)
+            m = sample(cfg, trial)
             assert_canonical_basis(m, m.to_dense())
 
 
 def test_elimination_allocates_no_dense_array():
-    m = sample_gf2(ModelConfig(n=4000, master_seed=4000), 0)
+    m = sample(ModelConfig(n=4000, master_seed=4000), 0)
     tracemalloc.start()
     try:
         gf2_rank_nullspace(m)
@@ -182,7 +182,7 @@ def test_elimination_allocates_no_dense_array():
 def test_rank_packs_in_small_blocks():
     # at most one block of column ints is packed ahead of elimination;
     # with blocks of 4096 columns this peak read 13.5 MB
-    m = sample_gf2(ModelConfig(n=8000, master_seed=8000), 0)
+    m = sample(ModelConfig(n=8000, master_seed=8000), 0)
     tracemalloc.start()
     try:
         gf2_rank(m)
@@ -272,7 +272,7 @@ def xor_built_columns(n_cols, cols, shifts):
 @pytest.mark.parametrize("n,r,s", [(3, 2, 2), (64, 2, 2), (300, 1, 2), (300, 1, 4),
                                    (4097, 2, 2), (4097, 1, 3)])
 def test_pack_equals_the_entrywise_xor_build(n, r, s):
-    m = sample_gf2(ModelConfig(n=n, r=r, s=s, replacement="with", master_seed=n), 0)
+    m = sample(ModelConfig(n=n, r=r, s=s, replacement="with", master_seed=n), 0)
     rows, cols = m.nonzero()
     if s == 2:  # a column whose two draws are equal cancels to empty
         assert np.unique(cols).size < m.n_cols
@@ -292,7 +292,7 @@ def test_pack_splits_blocks_at_column_boundaries():
 
 
 def test_three_column_blocks_change_no_basis(monkeypatch):
-    ms = [sample_gf2(ModelConfig(n=60, r=r, s=s, replacement=rep, master_seed=60), t)
+    ms = [sample(ModelConfig(n=60, r=r, s=s, replacement=rep, master_seed=60), t)
           for r, s, rep in ((1, 3, "without"), (2, 2, "with"), (2, 3, "with")) for t in range(3)]
     unpatched = [gf2_rank_nullspace(m) for m in ms]
     monkeypatch.setattr("fflab.gf2.PACK_BLOCK", 3)

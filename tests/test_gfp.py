@@ -21,7 +21,7 @@ from fflab.gfp import (
     gfp_rank_nullspace,
     is_prime,
 )
-from fflab.models import ModelConfig, sample_gft
+from fflab.models import ModelConfig, sample
 from oracles import (
     gfp_vecmat,
     is_prime_trial_division,
@@ -88,7 +88,7 @@ def test_pack_with_values_equals_the_entrywise_lane_build(p):
 
 
 def test_three_column_blocks_change_no_basis(monkeypatch):
-    ms = [sample_gft(ModelConfig(n=60, p=p, gft_model=model, master_seed=60), t)
+    ms = [sample(ModelConfig(n=60, p=p, gft_model=model, master_seed=60), t)
           for model, p in ((1, 3), (2, 5), (3, 7)) for t in range(3)]
     unpatched = [gfp_rank_nullspace(m) for m in ms]
     monkeypatch.setattr("fflab.gf2.PACK_BLOCK", 3)
@@ -209,7 +209,7 @@ def test_sampled_bases_pinned():
         for model, p in ((1, 3), (2, 5), (3, 7)):
             cfg = ModelConfig(n=n, p=p, gft_model=model, master_seed=20260809)
             for trial in range(30):
-                rank, basis = gfp_rank_nullspace(sample_gft(cfg, trial))
+                rank, basis = gfp_rank_nullspace(sample(cfg, trial))
                 vectors = " ".join(",".join(map(str, x.tolist())) for x in basis)
                 h.update(f"{cfg.tag()} {trial} {rank} {vectors}\n".encode())
     assert h.hexdigest() == "12da82b74b422b89c61ea3d4f0f95e0964bd60a5d4a9227e1b9f1b432a19d176"
@@ -223,7 +223,7 @@ def test_sampled_gf3_model23_bases_pinned():
         for model in (2, 3):
             cfg = ModelConfig(n=n, p=3, gft_model=model, master_seed=20260809)
             for trial in range(30):
-                rank, basis = gfp_rank_nullspace(sample_gft(cfg, trial))
+                rank, basis = gfp_rank_nullspace(sample(cfg, trial))
                 vectors = " ".join(",".join(map(str, x.tolist())) for x in basis)
                 h.update(f"{cfg.tag()} {trial} {rank} {vectors}\n".encode())
     assert h.hexdigest() == "7786dfb9d56e92cad1fca96a656166ea9bebab35908ffaa2c8dfd1800428e23f"
@@ -266,7 +266,7 @@ def test_unchecked_entry_list_cannot_be_stored():
 
 
 def test_rank_allocates_no_dense_lane_buffer():
-    m = sample_gft(ModelConfig(n=2000, p=3, gft_model=1, master_seed=2000), 0)
+    m = sample(ModelConfig(n=2000, p=3, gft_model=1, master_seed=2000), 0)
     tracemalloc.start()
     try:
         gfp_rank(m)
@@ -280,7 +280,7 @@ def test_gf3_rank_memory_stays_on_the_planes():
     # n-bit planes, not 8n-bit lanes: the pivots, and the packer's
     # shifted entries, are 8x smaller.  Measured at 0.81 MiB, against
     # 3.19 MiB when GF(3) ran on lanes.
-    m = sample_gft(ModelConfig(n=2000, p=3, gft_model=1, master_seed=2000), 0)
+    m = sample(ModelConfig(n=2000, p=3, gft_model=1, master_seed=2000), 0)
     tracemalloc.start()
     try:
         gfp_rank(m)
@@ -294,7 +294,7 @@ def test_gf3_back_substitution_stays_on_the_planes():
     # x walks the core pivots as two planes, read by popcount, with no
     # {label: value} run built per pivot.  Measured at 3.75 MiB, against
     # 11.41 MiB with the runs.
-    m = sample_gft(ModelConfig(n=5000, p=3, gft_model=1, master_seed=5000), 0)
+    m = sample(ModelConfig(n=5000, p=3, gft_model=1, master_seed=5000), 0)
     tracemalloc.start()
     try:
         gfp_rank_nullspace(m)
@@ -437,7 +437,7 @@ def test_planes_equal_the_lane_engine_on_the_same_feed(model, n):
     # lane engine on _Lanes(3, n) and the planes build the same monic pivots
     lanes = _Lanes(3, n)
     for trial in range(3):
-        m = sample_gft(ModelConfig(n=n, p=3, gft_model=model, master_seed=n), trial)
+        m = sample(ModelConfig(n=n, p=3, gft_model=model, master_seed=n), trial)
         rows, cols, vals = m.nonzero()
         lane_pivots, lane_rank = _eliminate(_pack(cols, rows * lanes.w, vals), lanes)
         pivots, rank = _eliminate_planes(_pack(cols, rows + n * (vals == 2)), n)
@@ -511,7 +511,7 @@ def test_leaf_heavy_bases_equal_canonical_oracle(p):
 
 def test_gf3_model1_all_ones_annihilates():
     cfg = ModelConfig(n=40, p=3, gft_model=1, master_seed=3)
-    m = sample_gft(cfg, 0)
+    m = sample(cfg, 0)
     ones = np.ones(m.n_rows, dtype=np.int64)
     assert not gfp_vecmat(ones, m).any()  # every column sums to 3 = 0 mod 3
     rank, basis = gfp_rank_nullspace(m)
@@ -562,7 +562,7 @@ def test_vecmat_exact_for_large_prime():
 @pytest.mark.parametrize("model,p", [(1, 3), (2, 5), (3, 7), (2, 3), (3, 3)])
 def test_sampled_models_match_oracle(model, p):
     cfg = ModelConfig(n=200, p=p, gft_model=model, master_seed=21)
-    m = sample_gft(cfg, 0)
+    m = sample(cfg, 0)
     rank, basis = gfp_rank_nullspace(m)
     assert gfp_rank(m) == rank == rank_modp_dense(m.entries, p)
     for x in basis:

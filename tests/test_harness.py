@@ -22,7 +22,7 @@ from fflab.harness import (
     write_records_jsonl,
 )
 from fflab.gf2 import gf2_rank, gf2_rank_nullspace
-from fflab.models import ModelConfig, sample, sample_gf2
+from fflab.models import ModelConfig, sample
 from oracles import chi2_sf_closed_form
 
 
@@ -87,7 +87,7 @@ class TestDeterminism:
                     cfg = ModelConfig(n=n, r=r, s=s, replacement=replacement,
                                       master_seed=20260809)
                     for trial in range(50):
-                        rank, basis = gf2_rank_nullspace(sample_gf2(cfg, trial))
+                        rank, basis = gf2_rank_nullspace(sample(cfg, trial))
                         vectors = " ".join(map(hex, basis))
                         h.update(f"{cfg.tag()} {trial} {rank} {vectors}\n".encode())
         assert (h.hexdigest()

@@ -16,8 +16,6 @@ from fflab.models import (
     functional_graph_components,
     parse_matrix,
     sample,
-    sample_gf2,
-    sample_gft,
     serialize_matrix,
 )
 
@@ -86,23 +84,23 @@ class TestConfigValidation:
 class TestGf2Sampler:
     def test_determinism_bit_identical(self):
         cfg = ModelConfig(n=50, master_seed=123)
-        a = sample_gf2(cfg, 7)
-        b = sample_gf2(cfg, 7)
+        a = sample(cfg, 7)
+        b = sample(cfg, 7)
         assert a == b
-        c = sample_gf2(cfg, 8)
+        c = sample(cfg, 8)
         assert a != c
 
     def test_without_replacement_column_structure(self):
         cfg = ModelConfig(n=30, r=1, s=3, replacement="without", master_seed=5)
         for trial in range(20):
-            dense = sample_gf2(cfg, trial).to_dense()
+            dense = sample(cfg, trial).to_dense()
             weights = dense.sum(axis=0)
             assert (weights == 3).all()
             assert (np.diag(dense) == 1).all()
 
     def test_small_n_exact_weight_three(self):
         cfg = ModelConfig(n=3, r=1, s=3, replacement="without", master_seed=1)
-        dense = sample_gf2(cfg, 0).to_dense()
+        dense = sample(cfg, 0).to_dense()
         assert (dense == 1).all()  # the only weight-3 column on 3 rows
 
     def test_with_replacement_weights_in_1_3(self):
@@ -123,7 +121,7 @@ class TestGf2Sampler:
         assert outcome_weights(3) == {1, 3}
         cfg = ModelConfig(n=40, r=1, s=3, replacement="with", master_seed=9)
         for trial in range(30):
-            dense = sample_gf2(cfg, trial).to_dense()
+            dense = sample(cfg, trial).to_dense()
             assert set(np.unique(dense.sum(axis=0))) <= {1, 3}
 
     def test_with_replacement_weight1_frequency(self):
@@ -135,7 +133,7 @@ class TestGf2Sampler:
         cols = 0
         ones = 0
         for trial in range(1000):
-            dense = sample_gf2(cfg, trial).to_dense()
+            dense = sample(cfg, trial).to_dense()
             w = dense.sum(axis=0)
             cols += n
             ones += int((w == 1).sum())
@@ -144,7 +142,7 @@ class TestGf2Sampler:
 
     def test_r_blocks_share_rows(self):
         cfg = ModelConfig(n=20, r=3, s=3, replacement="without", master_seed=4)
-        m = sample_gf2(cfg, 0)
+        m = sample(cfg, 0)
         assert m.n_cols == 60
         dense = m.to_dense()
         for j in range(3):
@@ -154,14 +152,14 @@ class TestGf2Sampler:
 
     def test_s2_without_replacement(self):
         cfg = ModelConfig(n=25, r=1, s=2, replacement="without", master_seed=2)
-        dense = sample_gf2(cfg, 0).to_dense()
+        dense = sample(cfg, 0).to_dense()
         assert (dense.sum(axis=0) == 2).all()
         assert (np.diag(dense) == 1).all()
 
     def test_sample_stores_entries_only(self):
         # packed rows alone would be n x n / 8 bytes: 50 MB at n = 2 * 10^4
         cfg = ModelConfig(n=20000, r=1, s=3, master_seed=20000)
-        m, peak = traced_peak(lambda: sample_gf2(cfg, 0))
+        m, peak = traced_peak(lambda: sample(cfg, 0))
         assert m.nonzero()[0].size == 3 * cfg.n
         assert peak < 8 * 2**20
 
@@ -202,7 +200,7 @@ class TestFunctionalGraph:
 class TestGftSampler:
     def test_model1_structure(self):
         cfg = ModelConfig(n=30, p=3, gft_model=1, master_seed=6)
-        m = sample_gft(cfg, 0)
+        m = sample(cfg, 0)
         assert isinstance(m, PrimeFieldMatrix)
         assert (np.diag(m.entries) == 1).all()
         assert ((m.entries != 0).sum(axis=0) == 3).all()
@@ -212,8 +210,8 @@ class TestGftSampler:
 
     def test_model1_samples_at_a_huge_prime(self):
         # Model 1 draws no values, so it builds no table of the p - 1 residues
-        big = sample_gft(ModelConfig(n=20, p=2**61 - 1, gft_model=1, master_seed=6), 0)
-        small = sample_gft(ModelConfig(n=20, p=3, gft_model=1, master_seed=6), 0)
+        big = sample(ModelConfig(n=20, p=2**61 - 1, gft_model=1, master_seed=6), 0)
+        small = sample(ModelConfig(n=20, p=3, gft_model=1, master_seed=6), 0)
         assert all(map(np.array_equal, big.nonzero(), small.nonzero()))
 
     def test_model2_diagonal_ones_and_value_frequencies(self):
@@ -222,7 +220,7 @@ class TestGftSampler:
         counts = np.zeros(p, dtype=np.int64)
         draws = 0
         for trial in range(200):
-            m = sample_gft(cfg, trial)
+            m = sample(cfg, trial)
             assert (np.diag(m.entries) == 1).all()
             off = m.entries.copy()
             np.fill_diagonal(off, 0)
@@ -237,7 +235,7 @@ class TestGftSampler:
 
     def test_model3_draws_diagonal_from_f(self):
         cfg = ModelConfig(n=200, p=3, gft_model=3, master_seed=10)
-        m = sample_gft(cfg, 0)
+        m = sample(cfg, 0)
         diag = np.diag(m.entries)
         assert set(np.unique(diag)) <= {1, 2}
         assert (diag == 2).any()
@@ -248,14 +246,14 @@ class TestGftSampler:
                               master_seed=55)
         gf2_cfg = ModelConfig(n=n, r=1, s=3, replacement="without", master_seed=55)
         for trial in range(10):
-            a = sample_gft(gfp_cfg, trial)
-            b = sample_gf2(gf2_cfg, trial)
+            a = sample(gfp_cfg, trial)
+            b = sample(gf2_cfg, trial)
             assert np.array_equal(a.entries, b.to_dense())
 
     def test_sample_stores_entries_only(self):
         # a dense int64 n x n array alone would be 32 MB at n = 2000
         cfg = ModelConfig(n=2000, p=3, gft_model=1, master_seed=2000)
-        m, peak = traced_peak(lambda: sample_gft(cfg, 0))
+        m, peak = traced_peak(lambda: sample(cfg, 0))
         assert m.nonzero()[0].size == 3 * cfg.n
         assert peak < 4 * 2**20
 

@@ -12,6 +12,7 @@ from fflab import theory
 from oracles import (
     count_subspaces_gf2,
     expected_deps_direct,
+    expected_deps_enumerated,
     inversion_generating_function,
     mapping_connectivity_fraction,
 )
@@ -225,6 +226,18 @@ class TestExpectedDeps:
                     assert got == 0
                 else:
                     assert got == pytest.approx(direct, rel=1e-10)
+
+    @pytest.mark.parametrize("model", ["with", "without"])
+    def test_matches_enumerated_draws(self, model):
+        # the closed form against every column's draws, over every row set
+        for n in range(3, 9):
+            for ell in range(1, n + 1):
+                exact = expected_deps_enumerated(n, ell, model)
+                got = theory.expected_num_deps(n, ell, model)
+                if exact == 0:
+                    assert got == 0, (n, ell)
+                else:
+                    assert got == pytest.approx(float(exact), rel=1e-12), (n, ell)
 
     def test_window_sum_near_one_at_moderate_n(self):
         assert theory.first_moment_window_sum(10**5, 1.0, "with") == pytest.approx(1, abs=0.01)

@@ -48,22 +48,34 @@ def _usage_error(message: object) -> int:
     return 2
 
 
-class _Unwritable(Exception):
-    """An output path that cannot be opened; main reports it as a usage error."""
+class _BadOutput(Exception):
+    """An output path that cannot be used; main reports it as a usage error."""
 
 
-def _open_output(path: str, mode: str = "w", **kwargs):
+def _open_output(path: str, mode: str = "w"):
     try:
-        return open(path, mode, **kwargs)
+        return open(path, mode)
     except OSError as e:
-        raise _Unwritable(f"{path}: {e.strerror}") from None
+        raise _BadOutput(f"{path}: {e.strerror}") from None
 
 
-def _check_outputs(*paths: str | None) -> None:
-    """Fail on an unwritable output path before a campaign, not after it.
-    Append mode creates a missing file and keeps an existing one."""
-    for path in filter(None, paths):
-        _open_output(path, "a").close()
+def _check_outputs(records: str | None, out: str | None) -> None:
+    """Fail on an unwritable output path, or on records and summary sent
+    to one file, before a campaign, not after it.  Append mode keeps an
+    existing file; a file this check creates, it removes again."""
+    created = []
+    try:
+        for path in filter(None, (records, out)):
+            real = os.path.realpath(path)   # a dangling symlink creates its target
+            existed = os.path.exists(real)
+            _open_output(path, "a").close()
+            if not existed:
+                created.append(real)
+        if records and out and os.path.samefile(records, out):
+            raise _BadOutput(f"--records and --out name the same file: {out}")
+    finally:
+        for real in created:
+            os.remove(real)
 
 
 def _add_model_flags(p: argparse.ArgumentParser) -> None:
@@ -111,8 +123,6 @@ def cmd_simulate(args) -> int:
     if args.check and (cfg.p is not None or cfg.r != 1 or cfg.s != 3):
         return _usage_error("--check applies to the r=1, s=3 GF(2) models")
     _check_outputs(args.records, args.out)
-    if args.records and args.out and os.path.samefile(args.records, args.out):
-        return _usage_error(f"--records and --out name the same file: {args.out}")
     records, summary = run_campaign(cfg, trials=args.trials, workers=args.workers)
     print(f"model {summary.model} n={summary.n} trials={summary.trials} "
           f"seed={summary.master_seed} wall={summary.wall_s:.1f}s")
@@ -142,8 +152,7 @@ def cmd_simulate(args) -> int:
         checks = headline_checks(summary, fit, table)
         print(f"corank0 emp={fit.corank0_emp:.4f} theory={fit.corank0_theory:.4f} "
               f"(3se={3 * fit.corank0_se:.4f})")
-        print(f"tv_corank={fit.tv_corank:.4f} tv_joint={fit.tv_joint:.4f} "
-              f"chi2={fit.chi2_stat:.2f}/{fit.chi2_dof} p={fit.chi2_pvalue:.3f}")
+        print(f"tv_corank={fit.tv_corank:.4f} tv_joint={fit.tv_joint:.4f}")
         for name, ok in checks.items():
             print(f"check {name}: {'PASS' if ok else 'FAIL'}")
         if not all(checks.values()):
@@ -257,7 +266,7 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except _Unwritable as e:
+    except _BadOutput as e:
         return _usage_error(e)
 
 

@@ -222,74 +222,24 @@ def _tv(emp_counts: dict, theory_probs: dict, trials: int) -> float:
 class FitReport:
     tv_corank: float
     tv_joint: float
-    chi2_stat: float
-    chi2_dof: int
-    chi2_pvalue: float
     corank0_emp: float
     corank0_theory: float
     corank0_se: float
 
 
-def chi2_sf(stat: float, dof: int) -> float:
-    """Chi-square upper tail: the regularized upper incomplete gamma Q(dof/2, stat/2).
-
-    dof/2 is an integer or a half-integer, so with y = stat/2 the tail is a
-    finite sum: start from Q(1, y) = e^-y (even dof) or Q(1/2, y) = erfc(sqrt y)
-    (odd dof), then step Q(a+1, y) = Q(a, y) + y^a e^-y / Gamma(a+1).  Every
-    term is positive.  compare_to_theory produces dof <= 13.
-    """
-    if dof < 1:
-        raise ValueError(f"dof must be >= 1, got {dof}")
-    y = stat / 2
-    if y == math.inf:   # the terms below would be inf * 0
-        return 0.0
-    if dof % 2:
-        a, total, term = 0.5, math.erfc(math.sqrt(y)), 2 * math.sqrt(y / math.pi) * math.exp(-y)
-    else:
-        a, total, term = 1.0, math.exp(-y), y * math.exp(-y)
-    while a < dof / 2:   # term = y^a e^-y / Gamma(a+1)
-        total += term
-        a += 1
-        term *= y / a
-    return total
-
-
 def compare_to_theory(summary: CampaignSummary, table: TheoryTable) -> FitReport:
-    """TV distances, pooled chi-square and the corank-0 error vs a theory table."""
+    """TV distances and the corank-0 error vs a theory table."""
     expected_tag = f"gf2:r1:s3:{table.model}"
     if summary.model != expected_tag:
         raise ValueError(f"model tag mismatch: campaign {summary.model!r} "
                          f"vs theory {expected_tag!r}")
     trials = summary.trials
-    corank_probs = dict(enumerate(table.corank))
-    tv_corank = _tv(summary.corank_hist, corank_probs, trials)
-    tv_joint = _tv(summary.joint_hist, table.joint, trials)
-
-    # chi-square on corank cells, pooling expected counts below 5 from the tail
-    cells = [(summary.corank_hist.get(d, 0), trials * q)   # (observed, expected)
-             for d, q in corank_probs.items()]
-    tail_obs = trials - sum(o for o, _ in cells)
-    tail_exp = trials * max(0.0, 1.0 - sum(table.corank))
-    cells.append((tail_obs, tail_exp))
-    pooled = [cells[0]]
-    for obs, exp in cells[1:]:
-        if pooled[-1][1] < 5 or exp < 5:
-            pooled[-1] = (pooled[-1][0] + obs, pooled[-1][1] + exp)
-        else:
-            pooled.append((obs, exp))
-    if len(pooled) > 1 and pooled[-1][1] < 5:
-        obs, exp = pooled.pop()
-        pooled[-1] = (pooled[-1][0] + obs, pooled[-1][1] + exp)
-    stat = sum((o - e) ** 2 / e for o, e in pooled if e > 0)
-    dof = max(1, len(pooled) - 1)
-    pvalue = chi2_sf(stat, dof)
-
     p0 = summary.corank_hist.get(0, 0) / trials
     q0 = table.corank[0]
-    se = math.sqrt(q0 * (1 - q0) / trials)
-    return FitReport(tv_corank=tv_corank, tv_joint=tv_joint, chi2_stat=stat,
-                     chi2_dof=dof, chi2_pvalue=pvalue, corank0_emp=p0,
-                     corank0_theory=q0, corank0_se=se)
+    return FitReport(tv_corank=_tv(summary.corank_hist, dict(enumerate(table.corank)), trials),
+                     tv_joint=_tv(summary.joint_hist, table.joint, trials),
+                     corank0_emp=p0, corank0_theory=q0,
+                     corank0_se=math.sqrt(q0 * (1 - q0) / trials))
 
 
 def headline_checks(summary: CampaignSummary, fit: FitReport,

@@ -138,13 +138,6 @@ def left_nullspace_canonical_modp_dense(dense: np.ndarray, p: int) -> tuple[list
     return deps, vectors
 
 
-def left_nullity_dense(dense: np.ndarray, p: int = 2) -> int:
-    """dim{x : xA = 0 mod p}, via rank of the transpose."""
-    a = np.asarray(dense, dtype=np.int64).T
-    r = rank_mod2_dense(a) if p == 2 else rank_modp_dense(a, p)
-    return a.shape[1] - r
-
-
 def gf2_vecmat(x: int, m) -> int:
     """x M over GF(2) for a BitMatrix m, read entry by entry off
     m.nonzero(): bit i of x selects row i, and bit j of the result is the
@@ -289,28 +282,3 @@ def expected_deps_enumerated(n: int, ell: int, model: str) -> Fraction:
         total += prob
     return total
 
-
-def chi2_sf_closed_form(stat: float, dof: int) -> float:
-    """Chi-square upper tail for integer dof >= 1 by the textbook closed forms.
-
-    With y = stat/2: for even dof it is the Poisson sum
-    e^{-y} sum_{i < dof/2} y^i / i!; for odd dof it is erfc(sqrt(y)) plus
-    the recurrence Q(a+1, y) = Q(a, y) + y^a e^{-y} / Gamma(a+1) from a = 1/2.
-    Every term is positive, so the sums lose no precision to cancellation.
-    """
-    y = stat / 2
-    if dof % 2 == 0:
-        term = math.exp(-y)
-        total = term
-        for i in range(1, dof // 2):
-            term *= y / i
-            total += term
-        return total
-    total = math.erfc(math.sqrt(y))
-    term = 2 * math.sqrt(y / math.pi) * math.exp(-y)   # a = 1/2
-    a = 0.5
-    for _ in range(dof // 2):
-        total += term
-        a += 1
-        term *= y / a
-    return total

@@ -14,10 +14,11 @@ import numpy as np
 import pytest
 
 import fflab
-from fflab import analyzer, cli
+from fflab import analyzer, cli, theory
 from fflab.analyzer import analyze_matrix
 from fflab.cli import main
 from fflab.gf2 import BitMatrix
+from fflab.harness import compare_to_theory, headline_checks, run_campaign
 from fflab.models import ModelConfig, sample, serialize_matrix
 
 
@@ -90,6 +91,22 @@ class TestSimulateCommand:
             assert code == 2
             assert not records.exists()
             assert "--check applies" in capsys.readouterr().err
+
+    def test_check_prints_what_the_verdict_reads(self, capsys):
+        code = run_cli("simulate", "--n", "100", "--trials", "60", "--seed", "3",
+                       "--check")
+        out = capsys.readouterr().out
+        _, summary = run_campaign(ModelConfig(n=100, master_seed=3), trials=60)
+        table = theory.build_table(theory.WITHOUT)
+        fit = compare_to_theory(summary, table)
+        checks = headline_checks(summary, fit, table)
+        assert out.splitlines()[-2 - len(checks):] == [
+            f"corank0 emp={fit.corank0_emp:.4f} theory=0.2574 (3se={3 * fit.corank0_se:.4f})",
+            f"tv_corank={fit.tv_corank:.4f} tv_joint={fit.tv_joint:.4f}",
+            *(f"check {name}: {'PASS' if ok else 'FAIL'}" for name, ok in checks.items()),
+        ]
+        assert "chi2" not in out
+        assert code == (0 if all(checks.values()) else 1)
 
 
 class TestAnalyzeCommand:
@@ -299,6 +316,36 @@ class TestUsageErrors:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert f"error: --records and --out name the same file: {out}" in captured.err
+
+    @pytest.mark.parametrize("existed", [False, True], ids=["new", "existing"])
+    def test_same_file_refusal_leaves_outputs_as_found(self, existed, tmp_path,
+                                                        monkeypatch, capsys):
+        def no_campaign(*args, **kwargs):
+            raise AssertionError("ran the campaign before checking the outputs")
+
+        monkeypatch.setattr(cli, "run_campaign", no_campaign)
+        path = tmp_path / "P"
+        if existed:
+            path.write_bytes(b"kept\n")
+        assert run_cli("simulate", "--n", "50", "--trials", "5",
+                       "--records", str(path), "--out", str(path)) == 2
+        assert "name the same file" in capsys.readouterr().err
+        if existed:
+            assert path.read_bytes() == b"kept\n"
+        assert sorted(tmp_path.iterdir()) == ([path] if existed else [])
+
+    def test_failed_campaign_leaves_no_new_output(self, tmp_path, monkeypatch):
+        def failing_campaign(*args, **kwargs):
+            raise RuntimeError("campaign failed")
+
+        monkeypatch.setattr(cli, "run_campaign", failing_campaign)
+        records, out = tmp_path / "records.jsonl", tmp_path / "summary.json"
+        out.write_bytes(b"kept\n")
+        with pytest.raises(RuntimeError, match="campaign failed"):
+            run_cli("simulate", "--n", "50", "--trials", "5",
+                    "--records", str(records), "--out", str(out))
+        assert not records.exists()
+        assert out.read_bytes() == b"kept\n"
 
     @pytest.mark.parametrize("argv", [("simulate", "--n", "2", "--trials", "5"),
                                       ("analyze", "--n", "2", "--trial", "0")],
